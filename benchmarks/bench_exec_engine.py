@@ -10,8 +10,8 @@ for every executor on the four SPEC-derived workloads, and emits the
 
 All engines must retire the *same* dynamic instruction count and
 produce the same output (asserted per run), so the comparison is pure
-dispatch overhead: predecoded closures, superinstruction fusion, and
-compiled superblocks versus the big-switch loops.  JIT runs share a
+dispatch overhead: predecoded closures with block-level accounting,
+and compiled superblocks, versus the big-switch loops.  JIT runs share a
 :class:`~repro.cache.TranslationCache` across repeats, so the best-of-N
 timing reflects warm superblocks — the steady state of a long-running
 module — while the cold compile cost is reported separately as

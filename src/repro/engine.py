@@ -32,9 +32,8 @@ unchanged behaviour.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro import metrics
@@ -67,11 +66,9 @@ INTERPRETER = "omnivm"
 class RunConfig:
     """How to execute a load/run: everything that is not *what* to run.
 
-    Replaces the former kwarg sprawl on :meth:`Engine.load` /
-    :meth:`Engine.run` (``fuel=``, ``segment_size=``, ``engine=``,
-    ``verify=``, ``host=``); those keywords still work through a
-    deprecation shim.  ``None`` fields mean "the engine's / loader's
-    default".
+    Passed to :meth:`Engine.load` / :meth:`Engine.run` as ``config=``;
+    ``dataclasses.replace`` derives a variant.  ``None`` fields mean
+    "the engine's / loader's default".
     """
 
     fuel: int | None = None
@@ -80,55 +77,21 @@ class RunConfig:
     verify: bool = True
     host: Host | None = None
 
-    def merged(self, **overrides) -> "RunConfig":
-        """A copy with the given fields replaced (unknown names raise)."""
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
-        return replace(self, **overrides)
 
-
-#: Legacy Engine.load/run keywords the deprecation shim accepts.
-_LEGACY_KEYS = ("host", "verify", "fuel", "segment_size", "engine")
-
-
-def _coerce_config(method: str, config, legacy: dict) -> RunConfig:
-    """Fold deprecated keyword arguments into a :class:`RunConfig`.
-
-    Accepts a :class:`~repro.runtime.host.Host` where the config is
-    expected (the pre-RunConfig positional ``host`` slot).  A field set
-    both on the config *and* as a legacy keyword is a programming error
-    — the old behaviour let the keyword silently win — and raises
-    :class:`TypeError`."""
-    if isinstance(config, Host):
-        legacy.setdefault("host", config)
-        config = None
-    unknown = set(legacy) - set(_LEGACY_KEYS)
-    if unknown:
+def _check_call(method: str, target, config) -> None:
+    """Reject arguments in the wrong slot with a typed error, before a
+    misplaced value surfaces as a misleading one further down."""
+    if target is not None and not isinstance(target, str):
         raise TypeError(
-            f"{method}() got unexpected keyword arguments {sorted(unknown)}"
+            f"{method}() target must be an architecture name or None, "
+            f"not {type(target).__name__}; pass run settings as "
+            f"config=RunConfig(...)"
         )
-    if legacy:
-        if config is not None:
-            defaults = RunConfig()
-            conflicts = sorted(
-                key for key in legacy
-                if getattr(config, key) != getattr(defaults, key)
-            )
-            if conflicts:
-                raise TypeError(
-                    f"{method}() got {', '.join(f'{k}=' for k in conflicts)}"
-                    f" both in config= and as keyword argument(s); set "
-                    f"each field in one place only"
-                )
-        warnings.warn(
-            f"{method}({', '.join(sorted(legacy))}=...) is deprecated; "
-            f"pass config=RunConfig(...)",
-            DeprecationWarning, stacklevel=3,
+    if config is not None and not isinstance(config, RunConfig):
+        raise TypeError(
+            f"{method}() config must be a RunConfig or None, not "
+            f"{type(config).__name__}"
         )
-        config = (config or RunConfig()).merged(**legacy)
-    return config or RunConfig()
 
 
 class Engine:
@@ -288,7 +251,6 @@ class Engine:
         target: str | None = None,
         options: TranslationOptions | str | None = None,
         config: RunConfig | None = None,
-        **legacy,
     ) -> LoadedModule | NativeModule:
         """Verify and load *program* for execution: a
         :class:`NativeModule` for a translated target, a
@@ -296,13 +258,12 @@ class Engine:
 
         *config* carries the execution parameters (:class:`RunConfig`:
         fuel, segment size, execution engine, verification toggle, host
-        services).  The former ``host=``/``verify=``/``fuel=``/
-        ``segment_size=``/``engine=`` keywords still work via a
-        deprecation shim (a bare :class:`~repro.runtime.host.Host` in
-        the config slot is treated as ``host=`` for old positional
-        callers).
+        services).  A *target* that is not a string or None, or a
+        *config* that is not a :class:`RunConfig` or None, raises
+        :class:`TypeError`.
         """
-        config = _coerce_config("Engine.load", config, legacy)
+        _check_call("Engine.load", target, config)
+        config = config or RunConfig()
         arch = self._resolve_target(target)
         with self._collecting():
             return load_module(
@@ -324,18 +285,16 @@ class Engine:
         options: TranslationOptions | str | None = None,
         entry: str | None = None,
         config: RunConfig | None = None,
-        **legacy,
     ) -> tuple[int, LoadedModule | NativeModule]:
         """Compile (when given source text), load, and execute; returns
         ``(exit code, loaded module)``.  The module exposes ``.host``
         for the program's emitted output.
 
-        *config* is forwarded to :meth:`load` (same deprecation shim for
-        the old keyword arguments), so a bounded (or unverified, or
-        legacy-loop) run no longer needs to hand-roll the
+        *config* is forwarded to :meth:`load`, so a bounded (or
+        unverified, or legacy-loop) run needs no hand-rolled
         compile/load/run sequence.
         """
-        config = _coerce_config("Engine.run", config, legacy)
+        _check_call("Engine.run", target, config)
         if not isinstance(program, LinkedProgram):
             program = self.compile(program)
         module = self.load(program, target, options, config=config)

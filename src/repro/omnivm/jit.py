@@ -994,7 +994,6 @@ class JitVM(SideExitPromotion, ThreadedVM):
                      if self._jit_cache is not None and digest is not None
                      else None)
         blocks_run = 0
-        fused_run = 0
         sb_run = 0
         try:
             while not state.halted:
@@ -1039,9 +1038,8 @@ class JitVM(SideExitPromotion, ThreadedVM):
                 block = blocks[index]
                 if block is None:
                     block = build(index)
-                body, body_count, term, term_pc, term_count, fused = block
+                body, count, term, term_pc = block
                 blocks_run += 1
-                fused_run += fused
                 try:
                     for fn in body:
                         fn(regs, fregs, memory)
@@ -1061,16 +1059,13 @@ class JitVM(SideExitPromotion, ThreadedVM):
                         state.instret += ((fault_pc - pc) >> 3) + 1
                         state.pc = fault_pc
                     raise
-                state.instret += body_count + term_count
+                state.instret += count
                 state.pc = term_pc
                 if term is not None:
                     try:
                         state.pc = term(self, state, regs)
                     except AccessViolation as violation:
-                        fault_pc = getattr(violation, "fault_pc", term_pc)
-                        retired = ((fault_pc - term_pc) >> 3) + 1
-                        state.instret -= term_count - retired
-                        state.pc = fault_pc
+                        state.pc = term_pc
                         self._deliver_violation(violation)
                         if state.instret > self.fuel:
                             raise FuelExhausted(
@@ -1083,7 +1078,6 @@ class JitVM(SideExitPromotion, ThreadedVM):
                     )
         finally:
             self._blocks_run += blocks_run
-            self._fused_run += fused_run
             self._superblocks_run += sb_run
         return s32(state.regs[1]) if not state.halted else state.exit_code
 

@@ -12,17 +12,15 @@ paper puts translation cost:
   (``addi`` becomes an ``add`` against a pre-normalized constant), and
   the predicate/shape tables are consulted once.  The closures live in
   a per-program dispatch array indexed by pc;
-* **superinstruction fusion** — the dominant dynamic pairs exposed by
-  the opcode-count instrumentation on the four SPEC workloads
-  (``mov``/``li`` shuffles, ``addi``/``slli``+``mov`` address
-  arithmetic, ``lw``+``lw`` / ``sw``+``sw`` block moves,
-  ``li``+indexed-load, ``addi``/``li``+``jr`` returns, and
-  ``lw``+compare-and-branch) are emitted as single fused closures;
 * **basic-block batching** — straight-line runs execute without
   re-entering the dispatch loop; ``instret`` and the fuel check are
   charged once per block, so a fuel cut (including the service
   watchdog's asynchronous ``fuel = -1``) lands at the next block
   boundary, at most one block length late.
+
+Under the default ``"auto"`` tier this engine runs only cold blocks and
+superblock side exits; hot code runs as compiled superblocks
+(:mod:`repro.omnivm.jit`).
 
 Observable semantics are pinned to the reference interpreter: the
 difftest fixed-seed corpus must be bit-exact between the two engines
@@ -743,234 +741,6 @@ def _compile_step(instr, pc):
 
 
 # ---------------------------------------------------------------------------
-# superinstruction fusion
-# ---------------------------------------------------------------------------
-#
-# Pair selection is grounded in the dynamic pair frequencies the
-# opcode-count instrumentation reports on the four SPEC workloads (li,
-# compress, alvinn, eqntott); see DESIGN.md.  Each fused closure performs
-# both effects in exact sequential order, so register aliasing between
-# the halves behaves identically to unfused execution, and each memory
-# half annotates faults with its own pc so block fault accounting stays
-# precise.
-
-def _fuse_mov_mov(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-
-    def fn(regs, fregs, memory):
-        regs[d1] = regs[s1]
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_mov_li(i1, i2, pc1, pc2):
-    d1, s1, d2 = i1.rd, i1.rs, i2.rd
-    c2 = u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = regs[s1]
-        regs[d2] = c2
-    return fn
-
-
-def _fuse_li_mov(i1, i2, pc1, pc2):
-    d1, d2, s2 = i1.rd, i2.rd, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = c1
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_addi_mov(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] + c1) & _M
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_slli_mov(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    sh = u32(i1.imm) & 31
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] << sh) & _M
-        regs[d2] = regs[s2]
-    return fn
-
-
-def _fuse_lw_lw(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        try:
-            regs[d1] = memory.load_u32((regs[s1] + c1) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + c2) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_lw_addi(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        try:
-            regs[d1] = memory.load_u32((regs[s1] + c1) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        regs[d2] = (regs[s2] + c2) & _M
-    return fn
-
-
-def _fuse_addi_lw(i1, i2, pc1, pc2):
-    d1, s1, d2, s2 = i1.rd, i1.rs, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] + c1) & _M
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + c2) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_li_lw(i1, i2, pc1, pc2):
-    d1, d2, s2 = i1.rd, i2.rd, i2.rs
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = c1
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + c2) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_li_lwx(i1, i2, pc1, pc2):
-    d1, d2, s2, t2 = i1.rd, i2.rd, i2.rs, i2.rt
-    c1 = u32(i1.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = c1
-        try:
-            regs[d2] = memory.load_u32((regs[s2] + regs[t2]) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_sw_sw(i1, i2, pc1, pc2):
-    s1, t1, s2, t2 = i1.rs, i1.rt, i2.rs, i2.rt
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        try:
-            memory.store_u32((regs[s1] + c1) & _M, regs[t1])
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        try:
-            memory.store_u32((regs[s2] + c2) & _M, regs[t2])
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-def _fuse_addi_sw(i1, i2, pc1, pc2):
-    d1, s1, s2, t2 = i1.rd, i1.rs, i2.rs, i2.rt
-    c1, c2 = u32(i1.imm), u32(i2.imm)
-
-    def fn(regs, fregs, memory):
-        regs[d1] = (regs[s1] + c1) & _M
-        try:
-            memory.store_u32((regs[s2] + c2) & _M, regs[t2])
-        except AccessViolation as violation:
-            violation.fault_pc = pc2
-            raise
-    return fn
-
-
-_BODY_FUSE = {
-    ("mov", "mov"): _fuse_mov_mov,
-    ("mov", "li"): _fuse_mov_li,
-    ("li", "mov"): _fuse_li_mov,
-    ("addi", "mov"): _fuse_addi_mov,
-    ("slli", "mov"): _fuse_slli_mov,
-    ("lw", "lw"): _fuse_lw_lw,
-    ("lw", "addi"): _fuse_lw_addi,
-    ("addi", "lw"): _fuse_addi_lw,
-    ("li", "lw"): _fuse_li_lw,
-    ("li", "lwx"): _fuse_li_lwx,
-    ("sw", "sw"): _fuse_sw_sw,
-    ("addi", "sw"): _fuse_addi_sw,
-}
-
-
-def _fuse_addi_jr(i1, i2, pc1, pc2):
-    d1, s1, s2 = i1.rd, i1.rs, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(vm, state, regs):
-        regs[d1] = (regs[s1] + c1) & _M
-        return regs[s2]
-    return fn
-
-
-def _fuse_li_jr(i1, i2, pc1, pc2):
-    d1, s2 = i1.rd, i2.rs
-    c1 = u32(i1.imm)
-
-    def fn(vm, state, regs):
-        regs[d1] = c1
-        return regs[s2]
-    return fn
-
-
-def _fuse_lw_branchi(i1, i2, pc1, pc2):
-    d1, s1 = i1.rd, i1.rs
-    c1 = u32(i1.imm)
-    branch = _compile_term(i2, pc2)
-
-    def fn(vm, state, regs):
-        try:
-            regs[d1] = vm.memory.load_u32((regs[s1] + c1) & _M)
-        except AccessViolation as violation:
-            violation.fault_pc = pc1
-            raise
-        return branch(vm, state, regs)
-    return fn
-
-
-_TERM_FUSE = {
-    ("addi", "jr"): _fuse_addi_jr,
-    ("li", "jr"): _fuse_li_jr,
-}
-for _b in ("beqi", "bnei", "blti", "blei", "bgti", "bgei",
-           "bltui", "bleui", "bgtui", "bgeui"):
-    _TERM_FUSE[("lw", _b)] = _fuse_lw_branchi
-del _b
-
-
-# ---------------------------------------------------------------------------
 # predecoded program + block cache
 # ---------------------------------------------------------------------------
 
@@ -1002,57 +772,27 @@ class ThreadedProgram:
     def build_block(self, index):
         """Build (and memoize) the basic block entered at *index*.
 
-        A block is ``(body, body_count, term, term_pc, term_count,
-        fused)``: a tuple of straight-line closures, the number of
-        instructions they cover, the terminator closure (None when the
-        block falls off the end of the code segment), the terminator's
-        pc, the number of instructions the terminator covers (2 for a
-        fused terminator pair), and the number of fused pairs.
+        A block is ``(body, count, term, term_pc)``: a tuple of
+        straight-line closures (``nop`` compiles to none), the number of
+        instructions a completed block retires (body plus terminator),
+        the terminator closure (None when the block falls off the end of
+        the code segment), and the terminator's pc.
         """
-        instrs = self.instrs
         steps = self.steps
         n = self.length
         body = []
-        body_count = 0
-        fused = 0
         term = None
-        term_pc = CODE_BASE + n * INSTR_SIZE
-        term_count = 0
         i = index
         while i < n:
-            pc = CODE_BASE + i * INSTR_SIZE
             is_term, fn = steps[i]
             if is_term:
                 term = fn
-                term_pc = pc
-                term_count = 1
                 break
-            nxt = i + 1
-            if nxt < n:
-                pair = (instrs[i].op, instrs[nxt].op)
-                if steps[nxt][0]:
-                    maker = _TERM_FUSE.get(pair)
-                    if maker is not None:
-                        term = maker(instrs[i], instrs[nxt], pc,
-                                     pc + INSTR_SIZE)
-                        term_pc = pc
-                        term_count = 2
-                        fused += 1
-                        break
-                else:
-                    maker = _BODY_FUSE.get(pair)
-                    if maker is not None:
-                        body.append(maker(instrs[i], instrs[nxt], pc,
-                                          pc + INSTR_SIZE))
-                        body_count += 2
-                        fused += 1
-                        i += 2
-                        continue
             if fn is not None:
                 body.append(fn)
-            body_count += 1
             i += 1
-        block = (tuple(body), body_count, term, term_pc, term_count, fused)
+        count = i - index + (term is not None)
+        block = (tuple(body), count, term, CODE_BASE + i * INSTR_SIZE)
         self.blocks[index] = block
         return block
 
@@ -1084,7 +824,7 @@ class ThreadedVM(OmniVM):
 
     When ``count_opcodes`` is set the VM falls back to the legacy
     per-instruction loop so instruction-mix instrumentation observes
-    every opcode individually (fusion would otherwise fold pairs).
+    every opcode individually.
     """
 
     def __init__(self, program, memory, hostcall=None, fuel=50_000_000,
@@ -1093,21 +833,16 @@ class ThreadedVM(OmniVM):
         self._threaded = (threaded if threaded is not None
                           else predecode_program(program))
         self._blocks_run = 0
-        self._fused_run = 0
 
     def run(self, entry=None):
         blocks_before = self._blocks_run
-        fused_before = self._fused_run
         try:
             return super().run(entry)
         finally:
             if metrics.active():
                 blocks = self._blocks_run - blocks_before
-                fused = self._fused_run - fused_before
                 if blocks:
                     metrics.count("execute.blocks", blocks)
-                if fused:
-                    metrics.count("execute.fused", fused)
 
     def _run_loop(self, state, instrs, sentinel):
         if self.count_opcodes:
@@ -1122,7 +857,6 @@ class ThreadedVM(OmniVM):
         fregs = state.fregs
         memory = self.memory
         blocks_run = 0
-        fused_run = 0
         try:
             while not state.halted:
                 pc = state.pc
@@ -1137,9 +871,8 @@ class ThreadedVM(OmniVM):
                 block = blocks[index]
                 if block is None:
                     block = build(index)
-                body, body_count, term, term_pc, term_count, fused = block
+                body, count, term, term_pc = block
                 blocks_run += 1
-                fused_run += fused
                 try:
                     for fn in body:
                         fn(regs, fregs, memory)
@@ -1161,19 +894,15 @@ class ThreadedVM(OmniVM):
                         state.instret += ((fault_pc - pc) >> 3) + 1
                         state.pc = fault_pc
                     raise
-                state.instret += body_count + term_count
+                state.instret += count
                 state.pc = term_pc
                 if term is not None:
                     try:
                         state.pc = term(self, state, regs)
                     except AccessViolation as violation:
-                        # A faulting fused terminator (or a hostcall that
-                        # faulted reading module memory): roll instret
-                        # back to the retired prefix, then deliver.
-                        fault_pc = getattr(violation, "fault_pc", term_pc)
-                        retired = ((fault_pc - term_pc) >> 3) + 1
-                        state.instret -= term_count - retired
-                        state.pc = fault_pc
+                        # A hostcall that faulted reading module memory:
+                        # it has retired, as under the legacy loop.
+                        state.pc = term_pc
                         self._deliver_violation(violation)
                         if state.instret > self.fuel:
                             raise FuelExhausted(
@@ -1186,5 +915,4 @@ class ThreadedVM(OmniVM):
                     )
         finally:
             self._blocks_run += blocks_run
-            self._fused_run += fused_run
         return s32(state.regs[1]) if not state.halted else state.exit_code

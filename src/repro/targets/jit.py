@@ -1407,7 +1407,6 @@ class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
                      if self._jit_cache is not None and jit_key is not None
                      else None)
         blocks_run = 0
-        fused_run = 0
         sb_run = 0
         try:
             while not self.halted:
@@ -1458,9 +1457,8 @@ class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
                 if block is None:
                     block = build(pc)
                 (body, cats, total, term_kind, term_fn, term_mi,
-                 term_end, slot, fused) = block
+                 term_end, slot) = block
                 blocks_run += 1
-                fused_run += fused
                 try:
                     for step in body:
                         step(self, regs, fregs, memory)
@@ -1526,7 +1524,6 @@ class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
                     self.pc = term_end + 1
         finally:
             self._blocks_run += blocks_run
-            self._fused_run += fused_run
             self._superblocks_run += sb_run
         return s32(self.exit_code if self.halted else self.regs[
             self.spec.int_map.get(1, 1)])

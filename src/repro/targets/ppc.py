@@ -77,18 +77,6 @@ def _timing() -> Timing:
     )
 
 
-#: Dominant dynamic (op, op) pairs in PowerPC translations of the SPEC
-#: workloads (cmp/cmpi+bcc lead; the rest are move/constant/memory
-#: traffic).
-FUSION_PAIRS = (
-    ("cmpi", "bcc"), ("addi", "mov"), ("mov", "ori"), ("mov", "mov"),
-    ("lui", "mov"), ("lw", "lw"), ("mov", "sw"), ("lui", "ori"),
-    ("cmp", "bcc"), ("sw", "sw"), ("slli", "lui"), ("mov", "lw"),
-    ("lw", "cmpi"), ("sw", "mov"), ("mov", "j"), ("slli", "mov"),
-    ("ori", "jr"), ("andi", "mov"), ("fcmp", "fbcc"), ("fcmps", "fbcc"),
-)
-
-
 def spec() -> TargetSpec:
     return TargetSpec(
         name="ppc",
@@ -109,5 +97,4 @@ def spec() -> TargetSpec:
         delay_slots=False,
         has_indexed_mem=True,
         imm_bits=16,
-        fusion_pairs=FUSION_PAIRS,
     )

@@ -60,17 +60,6 @@ def _timing() -> Timing:
     )
 
 
-#: Dominant dynamic (op, op) pairs in SPARC translations of the SPEC
-#: workloads (compare-and-branch dominates on the cc machines).
-FUSION_PAIRS = (
-    ("mov", "addi"), ("cmp", "bcc"), ("slli", "mov"), ("addi", "mov"),
-    ("cmpi", "bcc"), ("lw", "lw"), ("mov", "mov"), ("sw", "sw"),
-    ("lui", "ori"), ("lw", "cmpi"), ("mov", "lw"), ("mov", "sw"),
-    ("and", "mov"), ("sw", "mov"), ("or", "jr"), ("addi", "add"),
-    ("addi", "or"), ("lw", "slli"), ("fcmp", "fbcc"), ("fcmps", "fbcc"),
-)
-
-
 def spec() -> TargetSpec:
     return TargetSpec(
         name="sparc",
@@ -92,5 +81,4 @@ def spec() -> TargetSpec:
         delay_slots=True,
         has_indexed_mem=True,  # SPARC has reg+reg addressing
         imm_bits=IMM_BITS,
-        fusion_pairs=FUSION_PAIRS,
     )

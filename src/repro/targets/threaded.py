@@ -15,13 +15,6 @@ engine removes is the per-step dispatch chain, the per-step fuel and
 category bookkeeping, and the dict-built condition-code predicate of
 ``_cc_predicate`` (predecoded to one closure per predicate).
 
-Superinstruction fusion is **per-target**: ``TargetSpec.fusion_pairs``
-lists the (op, op) pairs the target's translator actually emits hot
-(cmp+bcc on the condition-code machines, slt+beq/bne on MIPS, lui+ori
-constant synthesis, address+memory pairs).  Fused closures charge and
-execute both halves in exact legacy order, so timing and faults are
-unchanged.
-
 Delay-slot semantics (MIPS/SPARC) are preserved exactly: the slot
 instruction executes outside the violation try (slot faults propagate to
 the host, as in the legacy loop), annulled untaken branches skip the
@@ -568,84 +561,6 @@ def _is_term_op(op: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# superinstruction fusion (gated per target by TargetSpec.fusion_pairs)
-# ---------------------------------------------------------------------------
-
-def _fuse_term_pair(i1, i2, idx1, idx2, spec):
-    """Fuse a straight-line op into the terminator that follows it.
-
-    The first half must be a non-faulting specializable op (``_sem_alu``,
-    which includes the cc writers), so block fault accounting never has
-    to unwind a partially-retired fused terminator.  Both halves charge
-    cycles in original order.
-    """
-    sem1 = _sem_alu(i1)
-    if sem1 is None:
-        return None
-    op2 = i2.op
-    target = i2.target
-    untaken = -2 if spec.delay_slots else None
-    if op2 in ("bcc", "fbcc"):
-        test = _CC_TESTS[i2.pred]
-
-        def fn(m, regs, fregs, memory):
-            m._charge(i1)
-            sem1(m, regs, fregs, memory)
-            m._charge(i2)
-            return target if test(m) else untaken
-        return _COND, fn
-    if op2 in ("beq", "bne"):
-        rs2, rt2 = i2.rs, i2.rt
-        if op2 == "beq":
-            def fn(m, regs, fregs, memory):
-                m._charge(i1)
-                sem1(m, regs, fregs, memory)
-                m._charge(i2)
-                return target if regs[rs2] == regs[rt2] else untaken
-        else:
-            def fn(m, regs, fregs, memory):
-                m._charge(i1)
-                sem1(m, regs, fregs, memory)
-                m._charge(i2)
-                return target if regs[rs2] != regs[rt2] else untaken
-        return _COND, fn
-    if op2 == "jr":
-        rs2 = i2.rs
-
-        def fn(m, regs, fregs, memory):
-            m._charge(i1)
-            sem1(m, regs, fregs, memory)
-            m._charge(i2)
-            return m.map_omni_target(regs[rs2])
-        return _JUMP, fn
-    if op2 == "j":
-        def fn(m, regs, fregs, memory):
-            m._charge(i1)
-            sem1(m, regs, fregs, memory)
-            m._charge(i2)
-            return target
-        return _JUMP, fn
-    return None
-
-
-def _fuse_body_pair(i1, i2, idx1, idx2):
-    """Two straight-line ops run back-to-back in one closure.  Both
-    halves execute strictly in order, so register aliasing and fault
-    delivery behave exactly as unfused."""
-    sem1 = _sem_alu(i1) or _sem_mem(i1, idx1)
-    sem2 = _sem_alu(i2) or _sem_mem(i2, idx2)
-    if sem1 is None or sem2 is None:
-        return None
-
-    def fn(m, regs, fregs, memory):
-        m._charge(i1)
-        sem1(m, regs, fregs, memory)
-        m._charge(i2)
-        sem2(m, regs, fregs, memory)
-    return fn
-
-
-# ---------------------------------------------------------------------------
 # predecoded program + block cache
 # ---------------------------------------------------------------------------
 
@@ -658,13 +573,12 @@ class ThreadedNativeProgram:
     stores these in its in-memory predecode side table).
     """
 
-    __slots__ = ("spec", "instrs", "steps", "blocks", "length", "_fusion")
+    __slots__ = ("spec", "instrs", "steps", "blocks", "length")
 
     def __init__(self, spec: TargetSpec, instrs: list[MInstr]):
         self.spec = spec
         self.instrs = instrs
         self.length = len(instrs)
-        self._fusion = frozenset(getattr(spec, "fusion_pairs", ()) or ())
         # steps[i]: (is_term, closure-or-None); terminators are compiled
         # lazily inside build_block (they need block context anyway).
         self.steps = [None] * len(instrs)
@@ -681,7 +595,7 @@ class ThreadedNativeProgram:
         """Build (and memoize) the block entered at native *index*.
 
         Returns ``(body, cats, total, term_kind, term_fn, term_mi,
-        term_end, slot, fused)`` where ``body`` is a tuple of closures,
+        term_end, slot)`` where ``body`` is a tuple of closures,
         ``cats`` the per-category instruction counts for the whole block
         (body + terminator, not the delay slot), ``total`` the number of
         instructions they represent, ``term_end`` the native index of
@@ -693,8 +607,6 @@ class ThreadedNativeProgram:
         n = self.length
         body = []
         cats: dict[str, int] = {}
-        total = 0
-        fused = 0
         term_kind = 0
         term_fn = None
         term_mi = None
@@ -702,51 +614,22 @@ class ThreadedNativeProgram:
         i = index
         while i < n:
             mi = instrs[i]
-            op = mi.op
-            if _is_term_op(op):
+            cats[mi.category] = cats.get(mi.category, 0) + 1
+            if _is_term_op(mi.op):
                 term_end = i
                 term_mi = mi
-                cats[mi.category] = cats.get(mi.category, 0) + 1
-                total += 1
                 term_kind, term_fn = _compile_native_term(mi, i, spec)
                 break
-            nxt = i + 1
-            if nxt < n and mi.category != "fused" \
-                    and instrs[nxt].category != "fused":
-                mi2 = instrs[nxt]
-                if (op, mi2.op) in self._fusion:
-                    if _is_term_op(mi2.op):
-                        made = _fuse_term_pair(mi, mi2, i, nxt, spec)
-                        if made is not None:
-                            term_end = nxt
-                            term_mi = mi2
-                            cats[mi.category] = cats.get(mi.category, 0) + 1
-                            cats[mi2.category] = cats.get(mi2.category, 0) + 1
-                            total += 2
-                            fused += 1
-                            term_kind, term_fn = made
-                            break
-                    else:
-                        fn = _fuse_body_pair(mi, mi2, i, nxt)
-                        if fn is not None:
-                            body.append(fn)
-                            cats[mi.category] = cats.get(mi.category, 0) + 1
-                            cats[mi2.category] = cats.get(mi2.category, 0) + 1
-                            total += 2
-                            fused += 1
-                            i += 2
-                            continue
             body.append(self._body_step(i))
-            cats[mi.category] = cats.get(mi.category, 0) + 1
-            total += 1
             i += 1
+        total = sum(cats.values())
         slot = None
         if spec.delay_slots and term_kind in (_COND, _JUMP) \
                 and term_end + 1 < n:
             slot_mi = instrs[term_end + 1]
             slot = (self._body_step(term_end + 1), slot_mi)
         block = (tuple(body), tuple(cats.items()), total, term_kind,
-                 term_fn, term_mi, term_end, slot, fused)
+                 term_fn, term_mi, term_end, slot)
         self.blocks[index] = block
         return block
 
@@ -793,21 +676,16 @@ class ThreadedTargetMachine(TargetMachine):
                          hostcall, fuel)
         self._threaded = threaded
         self._blocks_run = 0
-        self._fused_run = 0
 
     def run(self, entry_native_index: int) -> int:
         blocks_before = self._blocks_run
-        fused_before = self._fused_run
         try:
             return super().run(entry_native_index)
         finally:
             if metrics.active():
                 blocks = self._blocks_run - blocks_before
-                fused = self._fused_run - fused_before
                 if blocks:
                     metrics.count("execute.blocks", blocks)
-                if fused:
-                    metrics.count("execute.fused", fused)
 
     def _charge_fault_prefix(self, start: int, fault: int) -> None:
         """Account instret/categories for block instructions up to and
@@ -833,7 +711,6 @@ class ThreadedTargetMachine(TargetMachine):
         memory = self.memory
         counts = self.category_counts
         blocks_run = 0
-        fused_run = 0
         try:
             while not self.halted:
                 pc = self.pc
@@ -845,9 +722,8 @@ class ThreadedTargetMachine(TargetMachine):
                 if block is None:
                     block = build(pc)
                 (body, cats, total, term_kind, term_fn, term_mi,
-                 term_end, slot, fused) = block
+                 term_end, slot) = block
                 blocks_run += 1
-                fused_run += fused
                 try:
                     for fn in body:
                         fn(self, regs, fregs, memory)
@@ -880,9 +756,9 @@ class ThreadedTargetMachine(TargetMachine):
                 try:
                     redirect = term_fn(self, regs, fregs, memory)
                 except AccessViolation as violation:
-                    # Only a hostcall terminator can get here (fused
-                    # terminators are non-faulting); the legacy loop
-                    # delivers and redirects with a taken-branch penalty.
+                    # Only a hostcall terminator can get here; the legacy
+                    # loop delivers and redirects with a taken-branch
+                    # penalty.
                     redirect = self._deliver_violation(term_mi, violation)
                     self.pc = redirect
                     self._branch_taken_penalty()
@@ -917,6 +793,5 @@ class ThreadedTargetMachine(TargetMachine):
                     self.pc = term_end + 1
         finally:
             self._blocks_run += blocks_run
-            self._fused_run += fused_run
         return s32(self.exit_code if self.halted else self.regs[
             self.spec.int_map.get(1, 1)])

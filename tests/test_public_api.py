@@ -1,9 +1,9 @@
 """Public API snapshot: the package's exported surface is a contract.
 
 Pins ``repro.__all__``, the :class:`~repro.engine.RunConfig` fields,
-the redesigned ``Engine.load``/``Engine.run`` signatures, the dynamic
-linking error hierarchy, and the deprecation shim for the pre-RunConfig
-keyword arguments.  A failure here means a (possibly accidental)
+the redesigned ``Engine.load``/``Engine.run`` signatures and their
+typed errors for misplaced arguments, and the dynamic linking error
+hierarchy.  A failure here means a (possibly accidental)
 breaking change to the public API — update the snapshot only on a
 deliberate redesign."""
 
@@ -113,14 +113,6 @@ class TestRunConfig:
         with pytest.raises(Exception):
             RunConfig().fuel = 7  # type: ignore[misc]
 
-    def test_merged(self):
-        config = RunConfig(fuel=10).merged(engine="legacy")
-        assert (config.fuel, config.engine) == (10, "legacy")
-
-    def test_merged_rejects_unknown_fields(self):
-        with pytest.raises(TypeError, match="unknown RunConfig"):
-            RunConfig().merged(bogus=1)
-
 
 class TestEngineSignatures:
     def test_load_takes_config(self):
@@ -138,34 +130,28 @@ class TestEngineSignatures:
                      "link_modules", "load_program", "registry"):
             assert hasattr(Engine, name) or name == "registry"
 
-    def test_legacy_kwargs_warn_but_work(self):
+    def test_positional_config_names_config_keyword(self):
+        """A RunConfig passed positionally lands in the target slot; the
+        error names the config= keyword instead of reporting an unknown
+        architecture."""
         engine = Engine()
-        program = engine.compile(
-            "int main() { emit_int(9); return 0; }")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, module = engine.run(program, fuel=1_000_000)
-        assert code == 0
-        assert module.host.output_values() == [9]
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
+        program = engine.compile("int main() { return 0; }")
+        with pytest.raises(TypeError, match=r"config=RunConfig"):
+            engine.run(program, RunConfig(fuel=10**6))
+        with pytest.raises(TypeError, match=r"config=RunConfig"):
+            engine.load(program, RunConfig(fuel=10**6))
 
-    def test_positional_host_still_accepted(self):
+    def test_non_runconfig_config_rejected(self):
+        """A bare Host (the pre-RunConfig positional host) in the config
+        slot is a TypeError naming RunConfig."""
         from repro.runtime.host import Host
 
         engine = Engine()
         program = engine.compile("int main() { return 0; }")
-        host = Host()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            module = engine.load(program, None, None, host)
-        assert module.host is host
-
-    def test_unknown_legacy_kwarg_rejected(self):
-        engine = Engine()
-        program = engine.compile("int main() { return 0; }")
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            engine.load(program, wibble=3)
+        with pytest.raises(TypeError, match=r"RunConfig or None, not Host"):
+            engine.load(program, None, None, Host())
+        with pytest.raises(TypeError, match=r"RunConfig or None, not Host"):
+            engine.run(program, config=Host())
 
     def test_config_path_emits_no_warning(self):
         engine = Engine()
@@ -199,57 +185,3 @@ class TestErrorHierarchy:
         assert err.name == "lib" and err.epoch == 3
         err = CrossModuleViolation("bad", module="m", target=64)
         assert err.module == "m" and err.target == 64
-
-
-class TestConfigKwargConflicts:
-    """A field set both in ``config=`` and as a legacy keyword is a
-    programming error: the old shim let the keyword silently win."""
-
-    def _program(self, engine):
-        return engine.compile("int main() { return 0; }")
-
-    def test_load_conflict_raises_type_error(self):
-        engine = Engine()
-        program = self._program(engine)
-        with pytest.raises(TypeError, match=r"fuel="):
-            engine.load(program, config=RunConfig(fuel=5), fuel=9)
-
-    def test_run_conflict_raises_type_error(self):
-        engine = Engine()
-        program = self._program(engine)
-        with pytest.raises(TypeError, match=r"engine="):
-            engine.run(program, config=RunConfig(engine="legacy"),
-                       engine="threaded")
-
-    def test_conflict_message_names_every_field(self):
-        engine = Engine()
-        program = self._program(engine)
-        with pytest.raises(TypeError, match=r"engine=, fuel="):
-            engine.load(program, config=RunConfig(fuel=5, engine="jit"),
-                        fuel=9, engine="legacy")
-
-    def test_distinct_fields_merge_with_warning_only(self):
-        engine = Engine()
-        program = self._program(engine)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = engine.load(program, config=RunConfig(verify=False),
-                                 fuel=1_000_000)
-        assert module.vm.fuel == 1_000_000
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_deprecation_warning_points_at_user_call_site(self):
-        """`stacklevel` must attribute the warning to the caller of
-        Engine.load / Engine.run, not to engine.py internals."""
-        engine = Engine()
-        program = self._program(engine)
-        for invoke in (lambda: engine.load(program, fuel=1_000_000),
-                       lambda: engine.run(program, fuel=1_000_000)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                invoke()
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert deprecations[0].filename == __file__

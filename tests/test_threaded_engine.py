@@ -1,4 +1,4 @@
-"""The threaded-code execution engine: parity, fuel, fusion, plumbing.
+"""The threaded-code execution engine: parity, fuel, faults, plumbing.
 
 The threaded engines (:mod:`repro.omnivm.threaded` and
 :mod:`repro.targets.threaded`) must be observably identical to the
@@ -12,6 +12,8 @@ checks move to basic-block boundaries.  These tests pin:
   threaded machine at its next block boundary;
 * a fixed-seed cross-engine corpus (the difftest generator) executed
   bit-exactly by both engines on all five executors;
+* mid-block fault attribution (``fault_pc`` and ``instret``) on
+  adjacent memory/ALU pairs, identical across legacy, threaded, and JIT;
 * the word-aligned :meth:`Memory.load_u32`/:meth:`Memory.store_u32`
   fast path, including its fall-back to the generic accessors for
   faults, permissions, and segment-straddling accesses;
@@ -446,21 +448,6 @@ class TestEnginePlumbing:
         assert counters.get("execute.predecode_ms", 0) > 0
         assert counters.get("execute.blocks", 0) > 0
 
-    def test_fusion_counter_counts_superinstructions(self):
-        """A cmpi+bcc loop on a cc machine must fuse (ppc lists the
-        pair in its fusion_pairs)."""
-        body = [("instr", I("li", rd=2, imm=0))]
-        body += [("label", "L"),
-                 ("instr", I("addi", rd=2, rs=2, imm=1)),
-                 ("instr", I("blti", rs=2, imm2=50, label="L")),
-                 ("instr", I("jr", rs=14))]
-        program = build(body, name="fuse")
-        collector = metrics.MetricsCollector()
-        with metrics.collect(collector):
-            module = load_for_target(program, "ppc", engine="threaded")
-            module.run()
-        assert collector.counters.get("execute.fused", 0) > 0
-
     def test_cli_engine_flag(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -537,15 +524,15 @@ class TestSuperblockDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# fused-pair fault attribution
+# mid-block fault attribution
 # ---------------------------------------------------------------------------
 
 def _pair_program(first, second):
-    """Setup (3 instrs) + the fused pair (indices 3,4) + return.
+    """Setup (3 instrs) + the pair under test (indices 3,4) + return,
+    all one basic block.
 
     ``r2`` holds an unmapped address (0x40), ``r4`` a mapped data
-    address, ``r9`` zero; the ``xor`` spacer is in no fusion table, so
-    greedy pairing always forms exactly the pair under test.
+    address, ``r9`` zero.
     """
     return build([
         ("instr", I("li", rd=2, imm=0x40)),
@@ -554,10 +541,10 @@ def _pair_program(first, second):
         ("instr", first),
         ("instr", second),
         ("instr", I("jr", rs=14)),
-    ], name="fused-fault")
+    ], name="pair-fault")
 
 
-#: Every fusable body shape that can fault, faulting on instruction 1
+#: Adjacent memory/ALU pairs that can fault, faulting on instruction 1
 #: and (where the second instruction accesses memory) on instruction 2.
 BODY_FAULT_SHAPES = [
     ("lw_lw_first", I("lw", rd=5, rs=2, imm=0), I("lw", rd=6, rs=4, imm=0), 3),
@@ -573,10 +560,11 @@ BODY_FAULT_SHAPES = [
 
 
 class TestFusedPairFaults:
-    """A fused pair faulting on instruction 1 vs instruction 2 must
-    report ``fault_pc`` of the faulting half and charge exactly the
-    retired prefix — identical across legacy, threaded, and JIT tiers
-    (the JIT variant forces superblock compilation on first dispatch)."""
+    """A fault in the middle of a basic block, on instruction 1 vs
+    instruction 2 of a pair, must report ``fault_pc`` of the faulting
+    instruction and charge exactly the retired prefix — identical
+    across legacy, threaded, and JIT tiers (the JIT variant forces
+    superblock compilation on first dispatch)."""
 
     ENGINES = ("legacy", "threaded", "jit", "jit-hot")
 
@@ -600,10 +588,12 @@ class TestFusedPairFaults:
         from repro.omnivm.isa import INSTR_SIZE
 
         program = _pair_program(first, second)
-        # prove the pair actually fused
+        # prove the pair sits mid-block: one closure per body
+        # instruction, then the jr terminator
         vm = load_for_interpretation(program, engine="threaded").vm
-        body, body_count, _, _, _, fused = vm._threaded.build_block(0)
-        assert fused == 1 and body_count == 5 and len(body) == 4
+        body, count, term, term_pc = vm._threaded.build_block(0)
+        assert len(body) == 5 and count == 6 and term is not None
+        assert term_pc == CODE_BASE + 5 * INSTR_SIZE
         runs = self._run_engines(program)
         expect_pc = CODE_BASE + fault_index * INSTR_SIZE
         expect_instret = fault_index + 1  # retired prefix + faulting instr
@@ -616,7 +606,7 @@ class TestFusedPairFaults:
             assert runs[engine] == first_run, engine
 
     def test_term_lw_branch_fault_on_first(self):
-        """The fused lw+branch terminator faulting on the load."""
+        """A load faulting just before the block's branch terminator."""
         from repro.omnivm.memory import CODE_BASE
         from repro.omnivm.isa import INSTR_SIZE
 
@@ -627,12 +617,11 @@ class TestFusedPairFaults:
             ("instr", I("beqi", rs=5, imm=0, label="L")),
             ("label", "L"),
             ("instr", I("jr", rs=14)),
-        ], name="fused-term-fault")
+        ], name="term-fault")
         vm = load_for_interpretation(program, engine="threaded").vm
-        _, body_count, term, _, term_count, fused = \
-            vm._threaded.build_block(0)
-        assert term is not None and term_count == 2 and fused == 1
-        assert body_count == 2
+        body, count, term, term_pc = vm._threaded.build_block(0)
+        assert len(body) == 3 and count == 4 and term is not None
+        assert term_pc == CODE_BASE + 3 * INSTR_SIZE
         runs = self._run_engines(program)
         expect_pc = CODE_BASE + 2 * INSTR_SIZE
         for engine, (obs, pc, instret) in runs.items():
