@@ -119,8 +119,8 @@ class Engine:
         engine operation; see :meth:`stats`.
     execution_engine:
         Default execution loop: ``"auto"`` (the default — the superblock
-        JIT tier on the interpreter, the threaded engine on native
-        targets), ``"jit"`` (same tiering, named explicitly),
+        JIT tier over the threaded engine, on the interpreter and on all
+        four native targets), ``"jit"`` (same tiering, named explicitly),
         ``"threaded"`` (predecoded threaded-code engine with block-level
         fuel accounting), or ``"legacy"`` (per-instruction dispatch).
         :meth:`load` and :meth:`run` accept a per-call ``engine``

@@ -1,4 +1,4 @@
-"""Shared machinery for the superblock JIT tiers.
+"""Shared machinery for the threaded and superblock JIT tiers.
 
 Two trace JITs live in this codebase: :mod:`repro.omnivm.jit` compiles
 hot OmniVM block chains and :mod:`repro.targets.jit` compiles hot
@@ -16,9 +16,16 @@ not ISA-specific are hoisted here:
   scaffolding (cache cells, entry guard, the ``_FLUSH`` placeholder
   expanded after inlined hostcalls);
 * the fresh-namespace builder for ``exec``'d superblocks;
+* the **register-op table** (:data:`OMNI_OPS`, :data:`NATIVE_OPS`): the
+  one definition of every non-faulting register op, from which both
+  JITs emit source (:func:`emit_op`) and both threaded tiers build
+  their predecoded closures (:func:`threaded_closure`);
 * :class:`SideExitPromotion`, the shared deopt-promotion policy: when a
   guarded side exit's counter crosses the JIT heat threshold, re-form a
-  trace that covers the hot path instead of deopting forever.
+  trace that covers the hot path instead of deopting forever;
+* :class:`SuperblockTiering`, the per-machine tiering state both JIT
+  machines share: heat counters, promotion-profile adoption, compile /
+  side-table install, and the ``execute.*`` metric deltas of a run.
 
 Emitted source must stay a pure function of the instruction stream (and
 the per-entry override table): no ``id()``, hashes, or dict iteration
@@ -27,8 +34,12 @@ order may leak into generated code.
 
 from __future__ import annotations
 
+import string
 import struct
+import threading
+import time
 
+from repro import metrics
 from repro.errors import (
     AccessViolation,
     FuelExhausted,
@@ -36,10 +47,8 @@ from repro.errors import (
     VMTrap,
 )
 from repro.omnivm import semantics
+from repro.omnivm.isa import SET_PREDS
 from repro.utils.bits import round_f32
-
-_SIGN = 0x80000000
-_WRAP = 0x100000000
 
 #: Block-entry dispatch count at which a superblock is formed.
 JIT_HEAT = 16
@@ -62,16 +71,20 @@ __all__ = [
     "CMP",
     "CMP_INV",
     "FLUSH",
+    "NATIVE_OPS",
+    "OMNI_OPS",
     "Emitter",
     "Acct",
     "SideExitPromotion",
+    "SuperblockTiering",
     "base_exec_globals",
     "cache_cells",
-    "emit_cvt",
-    "emit_ext",
+    "cc_test",
     "emit_load_refill",
-    "emit_s32",
+    "emit_op",
     "emit_store_refill",
+    "native_row",
+    "threaded_closure",
 ]
 
 
@@ -157,13 +170,6 @@ class Acct:
         return "_n" if offset == 0 else f"_n + {offset}"
 
 
-def emit_s32(em, var, reg):
-    """Read integer register *reg* into *var* as a signed value."""
-    em.emit(f"{var} = regs[{reg}]")
-    em.emit(f"if {var} & {_SIGN:#x}:")
-    em.emit(f"    {var} -= {_WRAP:#x}", 1)
-
-
 # ---------------------------------------------------------------------------
 # per-site inline memory caches
 # ---------------------------------------------------------------------------
@@ -214,46 +220,240 @@ def cache_cells(em) -> tuple[list[str], str]:
 
 
 # ---------------------------------------------------------------------------
-# shared straight-line emissions (operand field names are common to the
-# OmniVM Instr and the native MInstr)
+# the register-op table
 # ---------------------------------------------------------------------------
+# The effect of every non-faulting register op, written once as Python
+# statements over operand placeholders.  Both JITs emit a row with
+# literal operands into their superblock source (``emit_op``); both
+# threaded tiers build their predecoded closures from the same text
+# (``threaded_closure``).  Placeholders:
+#
+# * ``{rd}`` ``{rs}`` ``{rt}`` ``{fd}`` ``{fs}`` ``{ft}`` — register
+#   indexes;
+# * the instruction's one constant, pre-normalized to its 32-bit
+#   pattern ``u32(imm)`` and spelled ``{imm}``, or read as ``{simm}``
+#   (signed), ``{bimm}`` (biased: ``imm ^ 0x80000000`` orders unsigned
+#   as ``imm`` orders signed), ``{sh}`` (shift count, ``imm & 31``) or
+#   ``{hi}`` (``imm << 16``; like the legacy executor, not re-masked);
+# * ``{ccs}`` / ``{ccu}`` — the native signed / unsigned condition
+#   codes: the ``_ccs``/``_ccu`` locals in the JIT, ``m.cc`` /
+#   ``m.cc_unsigned`` in threaded closures.
+#
+# Rows may use the scratch locals ``_a``/``_b``.  Loads and stores,
+# integer divide, ``fdiv`` and all control flow stay per tier (inline
+# caches, fault and trap accounting); the legacy interpreters are the
+# independently written oracle and never read this table.
 
-def emit_cvt(em, instr):
-    op = instr.op
-    rd, rs, fd, fs = instr.rd, instr.rs, instr.fd, instr.fs
-    if op in ("cvtdw", "cvtsw"):
-        emit_s32(em, "_a", rs)
-        expr = "float(_a)"
-        em.emit(f"fregs[{fd}] = "
-                + (f"round_f32({expr})" if op == "cvtsw" else expr))
-    elif op in ("cvtdwu", "cvtswu"):
-        expr = f"float(regs[{rs}])"
-        em.emit(f"fregs[{fd}] = "
-                + (f"round_f32({expr})" if op == "cvtswu" else expr))
-    elif op in ("cvtwd", "cvtws"):
-        em.emit(f"regs[{rd}] = f_to_i32(fregs[{fs}])")
-    elif op in ("cvtwud", "cvtwus"):
-        em.emit(f"regs[{rd}] = f_to_u32(fregs[{fs}])")
-    elif op == "cvtds":
-        em.emit(f"fregs[{fd}] = fregs[{fs}]")
-    elif op == "cvtsd":
-        em.emit(f"fregs[{fd}] = round_f32(fregs[{fs}])")
-    else:  # pragma: no cover
-        raise VMRuntimeError(f"unknown conversion {op!r}")
+_SEXT_A = "if _a & 0x80000000:\n    _a -= 0x100000000\n"
+_SEXT_B = "if _b & 0x80000000:\n    _b -= 0x100000000\n"
+# The conversions have always indented this body twice; kept so the
+# emitted source stays byte-identical.
+_SEXT_A_CVT = "if _a & 0x80000000:\n        _a -= 0x100000000\n"
 
 
-def emit_ext(em, instr):
-    op = instr.op
-    rd, rs = instr.rd, instr.rs
-    bits, sign, high = (
-        (0xFF, 0x80, 0xFFFFFF00) if op.endswith("8")
-        else (0xFFFF, 0x8000, 0xFFFF0000)
-    )
-    if op.startswith("z"):
-        em.emit(f"regs[{rd}] = regs[{rs}] & {bits:#x}")
+def _set_rows() -> dict[str, str]:
+    """OmniVM set-compares, register and ``<op>i`` constant forms.
+    Signed ordered compares use the bias trick, so no sign-extension
+    statements are needed."""
+    rows = {}
+    for op, (pred, signed) in SET_PREDS.items():
+        cmp = CMP[pred]
+        if signed and pred not in ("eq", "ne"):
+            lhs, rhs, imm = ("(regs[{rs}] ^ 0x80000000)",
+                             "(regs[{rt}] ^ 0x80000000)", "{bimm}")
+        else:
+            lhs, rhs, imm = "regs[{rs}]", "regs[{rt}]", "{imm}"
+        rows[op] = f"regs[{{rd}}] = 1 if {lhs} {cmp} {rhs} else 0"
+        rows[op + "i"] = f"regs[{{rd}}] = 1 if {lhs} {cmp} {imm} else 0"
+    return rows
+
+
+def cc_test(pred: str, invert: bool = False) -> str:
+    """A native condition-code predicate over the ``{ccs}``/``{ccu}``
+    slots (the ``u``-suffixed predicates read the unsigned codes)."""
+    if pred in ("ltu", "leu", "gtu", "geu"):
+        slot, base = "{ccu}", pred[:-1]
     else:
-        em.emit(f"_a = regs[{rs}] & {bits:#x}")
-        em.emit(f"regs[{rd}] = (_a | {high:#x}) if _a & {sign:#x} else _a")
+        slot, base = "{ccs}", pred
+    return f"{slot} {CMP[CMP_INV[base] if invert else base]} 0"
+
+
+_SET = _set_rows()
+
+#: Rows with the same text on OmniVM and on the native targets.
+_SHARED = {
+    "add": "regs[{rd}] = (regs[{rs}] + regs[{rt}]) & 0xffffffff",
+    "addi": "regs[{rd}] = (regs[{rs}] + {imm}) & 0xffffffff",
+    "sub": "regs[{rd}] = (regs[{rs}] - regs[{rt}]) & 0xffffffff",
+    "mul": "regs[{rd}] = (regs[{rs}] * regs[{rt}]) & 0xffffffff",
+    "and": "regs[{rd}] = regs[{rs}] & regs[{rt}]",
+    "andi": "regs[{rd}] = regs[{rs}] & {imm}",
+    "or": "regs[{rd}] = regs[{rs}] | regs[{rt}]",
+    "ori": "regs[{rd}] = regs[{rs}] | {imm}",
+    "xor": "regs[{rd}] = regs[{rs}] ^ regs[{rt}]",
+    "xori": "regs[{rd}] = regs[{rs}] ^ {imm}",
+    "sll": "regs[{rd}] = (regs[{rs}] << (regs[{rt}] & 31)) & 0xffffffff",
+    "slli": "regs[{rd}] = (regs[{rs}] << {sh}) & 0xffffffff",
+    "srl": "regs[{rd}] = regs[{rs}] >> (regs[{rt}] & 31)",
+    "srli": "regs[{rd}] = regs[{rs}] >> {sh}",
+    "sra": ("_a = regs[{rs}]\n" + _SEXT_A
+            + "regs[{rd}] = (_a >> (regs[{rt}] & 31)) & 0xffffffff"),
+    "srai": ("_a = regs[{rs}]\n" + _SEXT_A
+             + "regs[{rd}] = (_a >> {sh}) & 0xffffffff"),
+    "sltu": _SET["sltu"],
+    "li": "regs[{rd}] = {imm}",
+    "mov": "regs[{rd}] = regs[{rs}]",
+    "zext8": "regs[{rd}] = regs[{rs}] & 0xff",
+    "zext16": "regs[{rd}] = regs[{rs}] & 0xffff",
+    "sext8": ("_a = regs[{rs}] & 0xff\n"
+              "regs[{rd}] = (_a | 0xffffff00) if _a & 0x80 else _a"),
+    "sext16": ("_a = regs[{rs}] & 0xffff\n"
+               "regs[{rd}] = (_a | 0xffff0000) if _a & 0x8000 else _a"),
+    "cvtdw": "_a = regs[{rs}]\n" + _SEXT_A_CVT + "fregs[{fd}] = float(_a)",
+    "cvtsw": ("_a = regs[{rs}]\n" + _SEXT_A_CVT
+              + "fregs[{fd}] = round_f32(float(_a))"),
+    "cvtdwu": "fregs[{fd}] = float(regs[{rs}])",
+    "cvtswu": "fregs[{fd}] = round_f32(float(regs[{rs}]))",
+    "cvtwd": "regs[{rd}] = f_to_i32(fregs[{fs}])",
+    "cvtws": "regs[{rd}] = f_to_i32(fregs[{fs}])",
+    "cvtwud": "regs[{rd}] = f_to_u32(fregs[{fs}])",
+    "cvtwus": "regs[{rd}] = f_to_u32(fregs[{fs}])",
+    "cvtds": "fregs[{fd}] = fregs[{fs}]",
+    "cvtsd": "fregs[{fd}] = round_f32(fregs[{fs}])",
+}
+# FP moves and arithmetic: the ``s`` forms round to single precision.
+# CPython float +, -, * overflow to inf without raising, so none of
+# these can trap (``fdiv``'s zero check stays per tier).
+_FP_EXPRS = {"fmov": "fregs[{fs}]", "fneg": "-fregs[{fs}]",
+             "fabs": "abs(fregs[{fs}])",
+             "fadd": "fregs[{fs}] + fregs[{ft}]",
+             "fsub": "fregs[{fs}] - fregs[{ft}]",
+             "fmul": "fregs[{fs}] * fregs[{ft}]"}
+_SHARED.update({base + "d": "fregs[{fd}] = " + expr
+                for base, expr in _FP_EXPRS.items()})
+_SHARED.update({base + "s": f"fregs[{{fd}}] = round_f32({expr})"
+                for base, expr in _FP_EXPRS.items()})
+_SHARED.update({
+    base + width: f"regs[{{rd}}] = 1 if fregs[{{fs}}] {cmp} fregs[{{ft}}] "
+                  "else 0"
+    for base, cmp in (("fceq", "=="), ("fclt", "<"), ("fcle", "<="))
+    for width in "sd"})
+
+#: OmniVM rows, by opcode (``alui`` ops under their own names).
+OMNI_OPS: dict[str, str] = {
+    **_SHARED, **_SET,
+    "muli": "regs[{rd}] = (regs[{rs}] * {imm}) & 0xffffffff",
+}
+
+#: Native rows, by opcode (``setcc`` by ``setcc.<pred>``, see
+#: :func:`native_row`).
+NATIVE_OPS: dict[str, str] = {
+    **_SHARED,
+    "sltiu": _SET["sltui"],
+    "nor": "regs[{rd}] = (~(regs[{rs}] | regs[{rt}])) & 0xffffffff",
+    "lui": "regs[{rd}] = {hi}",
+    "slt": ("_a = regs[{rs}]\n_b = regs[{rt}]\n" + _SEXT_A + _SEXT_B
+            + "regs[{rd}] = 1 if _a < _b else 0"),
+    "slti": ("_a = regs[{rs}]\n" + _SEXT_A
+             + "regs[{rd}] = 1 if _a < {simm} else 0"),
+    "cmp": ("_a = regs[{rs}]\n_b = regs[{rt}]\n"
+            "{ccu} = (_a > _b) - (_a < _b)\n" + _SEXT_A + _SEXT_B
+            + "{ccs} = (_a > _b) - (_a < _b)"),
+    "cmpi": ("_a = regs[{rs}]\n{ccu} = (_a > {imm}) - (_a < {imm})\n"
+             + _SEXT_A + "{ccs} = (_a > {simm}) - (_a < {simm})"),
+    "fcmp": ("_a = fregs[{fs}]\n_b = fregs[{ft}]\n"
+             "{ccs} = (_a > _b) - (_a < _b)\n{ccu} = {ccs}"),
+    "sethnd": "m.handler_omni = regs[{rs}]",
+    "nop": "",
+}
+NATIVE_OPS["subcc"] = NATIVE_OPS["cmp"]
+NATIVE_OPS["fcmps"] = NATIVE_OPS["fcmp"]
+NATIVE_OPS.update({
+    "setcc." + pred: f"regs[{{rd}}] = 1 if {cc_test(pred)} else 0"
+    for pred in ("eq", "ne", "lt", "le", "gt", "ge",
+                 "ltu", "leu", "gtu", "geu")})
+
+
+def native_row(mi) -> str | None:
+    """The table row of native instruction *mi*, or None when its op
+    stays per tier."""
+    op = mi.op
+    return NATIVE_OPS.get(f"setcc.{mi.pred}" if op == "setcc" else op)
+
+
+# Each row compiles, once per process, into two generated functions of
+# one instruction ``mi``: a JIT emitter returning the row's statements
+# with literal operands, and a threaded closure factory returning
+# ``fn(regs, fregs, memory)`` (OmniVM) or ``fn(m, regs, fregs, memory)``
+# (native, optionally charging ``mi`` first).  Both bind exactly the
+# placeholders the row uses, by the expressions below.
+_BIND = {"rd": "mi.rd", "rs": "mi.rs", "rt": "mi.rt",
+         "fd": "mi.fd", "fs": "mi.fs", "ft": "mi.ft",
+         "imm": "mi.imm & 0xffffffff",
+         "simm": "imm - 0x100000000 if imm & 0x80000000 else imm",
+         "bimm": "imm ^ 0x80000000", "sh": "imm & 31", "hi": "imm << 16"}
+_FORMATTER = string.Formatter()
+_COMPILED: dict[tuple, object] = {}
+_COMPILE_LOCK = threading.Lock()
+_COMPILE_GLOBALS = base_exec_globals()
+
+
+def _source(row: str, body: list[str], ret: str) -> str:
+    used = {field for _, field, _, _ in _FORMATTER.parse(row) if field}
+    if used & {"simm", "bimm", "sh", "hi"}:
+        used.add("imm")
+    lines = ["def _make(mi):"]
+    lines += [f"    {name} = {expr}" for name, expr in _BIND.items()
+              if name in used]
+    return "\n".join(lines + body + [f"    return {ret}"])
+
+
+def _emitter_source(row: str) -> str:
+    keep = {name: "{" + name + "}" for name in _BIND}
+    lines = row.format(ccs="_ccs", ccu="_ccu", **keep).splitlines()
+    return _source(row, [], "[" + ", ".join("f" + repr(line)
+                                            for line in lines) + "]")
+
+
+def _factory_source(row: str, native: bool, charge: bool) -> str:
+    names = {name: name for name in _BIND}
+    body = row.format(ccs="m.cc", ccu="m.cc_unsigned", **names).splitlines()
+    if charge:
+        body.insert(0, "m._charge(mi)")
+    params = "m, regs, fregs, memory" if native else "regs, fregs, memory"
+    return _source(row, [f"    def fn({params}):"]
+                   + ["        " + line for line in body or ["pass"]], "fn")
+
+
+def _compiled(key: tuple, make_source, *args):
+    """The ``_make`` function of ``make_source(*args)``, compiled once
+    per process under *key* (safe under concurrent predecodes)."""
+    make = _COMPILED.get(key)
+    if make is None:
+        with _COMPILE_LOCK:
+            make = _COMPILED.get(key)
+            if make is None:
+                namespace = dict(_COMPILE_GLOBALS)
+                exec(compile(make_source(*args), "<op-table>", "exec"),
+                     namespace)
+                make = _COMPILED[key] = namespace["_make"]
+    return make
+
+
+def emit_op(em, row: str, ins, depth: int = 0) -> None:
+    """Emit *row* with *ins*'s operands as literals (the JIT form)."""
+    for line in _compiled((row,), _emitter_source, row)(ins):
+        em.emit(line, depth)
+
+
+def threaded_closure(row: str, ins, native: bool = False,
+                     charge: bool = False):
+    """A threaded-tier closure running *row* over *ins*'s operands:
+    ``fn(regs, fregs, memory)`` on OmniVM, ``fn(m, regs, fregs,
+    memory)`` on a native target (calling ``m._charge(ins)`` first when
+    *charge* is set)."""
+    return _compiled((row, native, charge), _factory_source, row, native,
+                     charge)(ins)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +499,8 @@ class SideExitPromotion:
 
     Hosting classes provide ``_jit_heat``, ``_jit_deopts``, and the
     hooks ``_promotion_profitable``, ``_repromote_entry`` and
-    ``_anchor_exit``.
+    ``_anchor_exit`` (:class:`SuperblockTiering` provides all but the
+    first and last).
     """
 
     #: Hard cap on overridden branches per trace entry.
@@ -362,4 +563,121 @@ class SideExitPromotion:
         raise NotImplementedError
 
     def _anchor_exit(self, exit_loc) -> None:
+        raise NotImplementedError
+
+
+# ---------------------------------------------------------------------------
+# tiering state shared by both JIT machines
+# ---------------------------------------------------------------------------
+
+class SuperblockTiering(SideExitPromotion):
+    """Heat counters, the superblock dispatch map, promotion-profile
+    adoption and compile bookkeeping of a JIT machine.
+
+    A hosting class calls :meth:`_init_tiering` after its threaded
+    tier is set up, keeps its own dispatch loop, and provides
+    ``_compile(index, overrides) -> (source, fn)`` (``fn`` None when
+    the entry cannot be compiled) plus the promotion hooks of
+    :class:`SideExitPromotion`.  Superblocks compiled without
+    overrides are shared through the cache's side table under
+    ``side_key + (index,)``; the promotion profile under
+    ``profile_key``.
+    """
+
+    def _init_tiering(self, cache, heat, side_key, profile_key) -> None:
+        self._jit_cache = cache
+        self._jit_heat = heat
+        self._jit_side_key = side_key
+        self._heat = [0] * self._threaded.length
+        self._superblocks: dict[int, object] = {}
+        self._jit_sources: dict[int, str] = {}
+        self._superblocks_run = 0
+        self._superblocks_compiled = 0
+        self._jit_deopts = 0
+        self._jit_compile_ms = 0.0
+        profile = None
+        if cache is not None and side_key is not None:
+            profile = cache.probe_predecoded(profile_key)
+            if profile is None:
+                profile = self.fresh_profile()
+                cache.put_predecoded(profile_key, profile)
+        self._init_promotion(profile)
+        # Adopted-profile entries dispatch straight to their promoted
+        # superblocks (the plain warm path would find the unpromoted
+        # form under the side-table keys).
+        self._superblocks.update(self._promoted_fns)
+
+    #: ``execute.*`` counter -> the attribute whose per-run delta it gets.
+    _RUN_COUNTERS = (("superblocks", "_superblocks_compiled"),
+                     ("deopts", "_jit_deopts"),
+                     ("jit_compile_ms", "_jit_compile_ms"),
+                     ("superblock_runs", "_superblocks_run"),
+                     ("jit_promotions", "_jit_promotions"))
+
+    def run(self, *args):
+        before = [getattr(self, attr) for _, attr in self._RUN_COUNTERS]
+        try:
+            return super().run(*args)
+        finally:
+            if metrics.active():
+                for (name, attr), start in zip(self._RUN_COUNTERS, before):
+                    delta = getattr(self, attr) - start
+                    if delta:
+                        metrics.count("execute." + name, delta)
+
+    def _install(self, index, overrides):
+        """Compile the superblock at *index* and install it; None when
+        the entry cannot be compiled."""
+        start = time.perf_counter()
+        source, fn = self._compile(index, overrides)
+        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
+        if fn is not None:
+            self._superblocks_compiled += 1
+            self._jit_sources[index] = source
+            self._superblocks[index] = fn
+        return fn
+
+    def _compile_entry(self, index):
+        """Compile (or fetch from the side table) the superblock at
+        *index* and install it in the dispatch map.  Entries with
+        promotion overrides are profile-specialized: their compiled
+        form travels with the promotion profile, not the plain
+        side-table keys."""
+        overrides = self._trace_overrides.get(index)
+        cache = self._jit_cache
+        key = None
+        if overrides:
+            fn = self._promoted_fns.get(index)
+            if fn is not None:
+                self._superblocks[index] = fn
+                return fn
+        elif cache is not None and self._jit_side_key is not None:
+            key = self._jit_side_key + (index,)
+            fn = cache.probe_predecoded(key)
+            if fn is not None:
+                self._superblocks[index] = fn
+                return fn
+        fn = self._install(index, overrides)
+        if fn is None:
+            # Outside the emitter's vocabulary: pin the entry's heat so
+            # the threaded tier keeps it for good.
+            self._heat[index] = -(1 << 30)
+        elif overrides:
+            self._promoted_fns[index] = fn
+        elif key is not None:
+            cache.put_predecoded(key, fn)
+        return fn
+
+    def _repromote_entry(self, entry):
+        overrides = self._trace_overrides.get(entry)
+        fn = self._install(entry, overrides)
+        if fn is None:
+            return
+        if overrides:
+            self._promoted_fns[entry] = fn
+        else:
+            # all overrides reverted: the plain trace is current again
+            self._promoted_fns.pop(entry, None)
+
+    def _compile(self, index, overrides):
         raise NotImplementedError

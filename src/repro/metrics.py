@@ -11,12 +11,17 @@ execution engines.
 Design constraints:
 
 * **zero cost when idle** — every instrumentation point first asks
-  :func:`active`, which is one global list check, so the hot paths
+  :func:`active`, which is one context-variable read, so the hot paths
   (translation, simulation) pay one ``if`` when nobody is measuring;
-* **no global mutable results** — measurements accumulate into an
-  explicitly installed :class:`MetricsCollector`; nesting is allowed
-  (an :class:`~repro.engine.Engine` collector and an ad-hoc one can be
-  active at once) and every active collector observes every event;
+* **context-scoped, no global mutable results** — measurements
+  accumulate into an explicitly installed :class:`MetricsCollector`,
+  and the set of installed collectors is a :class:`~contextvars.ContextVar`,
+  so an event reaches only the collectors installed on its own thread
+  or task (a service worker sees the engine's collector and whatever
+  was active where the request was submitted, never another worker's);
+  nesting is allowed (an :class:`~repro.engine.Engine` collector and an
+  ad-hoc one can be active at once), every active collector observes
+  every event, and installing an already-active collector is a no-op;
 * **no dependencies** — this module imports only the standard library,
   so any layer of the package may import it without cycles.
 
@@ -56,6 +61,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 __all__ = [
@@ -190,37 +196,46 @@ class MetricsCollector:
         return "\n".join(lines) if lines else "(no measurements)"
 
 
-#: Stack of active collectors; module-level so instrumentation points can
-#: test "anyone listening?" with one truthiness check.
-_ACTIVE: list[MetricsCollector] = []
+#: The active collectors of the current context (thread / task), outer
+#: first.  A context variable, so concurrent service workers each see
+#: only the collectors installed on their own path.
+_ACTIVE: ContextVar[tuple[MetricsCollector, ...]] = ContextVar(
+    "repro_metrics_active", default=())
 
 
 def active() -> bool:
-    """True when at least one collector is installed."""
-    return bool(_ACTIVE)
+    """True when at least one collector is installed in this context."""
+    return bool(_ACTIVE.get())
 
 
 def current() -> MetricsCollector | None:
     """The innermost active collector, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    collectors = _ACTIVE.get()
+    return collectors[-1] if collectors else None
 
 
 @contextmanager
 def collect(collector: MetricsCollector | None = None
             ) -> Iterator[MetricsCollector]:
-    """Install *collector* (a fresh one when omitted) for the duration
-    of the ``with`` block and yield it."""
+    """Install *collector* (a fresh one when omitted) in the current
+    context for the duration of the ``with`` block and yield it.  A
+    collector that is already active is not installed twice, so every
+    event reaches it once."""
     collector = collector or MetricsCollector()
-    _ACTIVE.append(collector)
+    collectors = _ACTIVE.get()
+    if collector in collectors:
+        yield collector
+        return
+    token = _ACTIVE.set(collectors + (collector,))
     try:
         yield collector
     finally:
-        _ACTIVE.remove(collector)
+        _ACTIVE.reset(token)
 
 
 def count(name: str, amount: int = 1) -> None:
     """Add *amount* to counter *name* on every active collector."""
-    for collector in _ACTIVE:
+    for collector in _ACTIVE.get():
         collector.count(name, amount)
 
 
@@ -228,7 +243,8 @@ def count(name: str, amount: int = 1) -> None:
 def stage(name: str) -> Iterator[None]:
     """Time the enclosed block as pipeline stage *name* (no-op when no
     collector is active)."""
-    if not _ACTIVE:
+    collectors = _ACTIVE.get()
+    if not collectors:
         yield
         return
     start = time.perf_counter()
@@ -236,5 +252,5 @@ def stage(name: str) -> Iterator[None]:
         yield
     finally:
         elapsed = time.perf_counter() - start
-        for collector in _ACTIVE:
+        for collector in collectors:
             collector.record_stage(name, elapsed)

@@ -56,9 +56,6 @@ entry)`` keys, which module revocation invalidates together with the
 
 from __future__ import annotations
 
-import time
-
-from repro import metrics
 from repro.errors import (
     AccessViolation,
     FuelExhausted,
@@ -73,17 +70,17 @@ from repro.jitcore import (
     MAX_TRACE_INSTRS,
     Acct as _Acct,
     Emitter as _Emitter,
-    SideExitPromotion,
+    OMNI_OPS,
+    SuperblockTiering,
     base_exec_globals,
-    emit_cvt as _emit_cvt,
-    emit_ext as _emit_ext,
+    cache_cells,
     emit_load_refill as _emit_load_refill,
-    emit_s32 as _emit_s32,
+    emit_op,
     emit_store_refill as _emit_store_refill,
 )
 from repro.omnivm import semantics
-from repro.omnivm.interp import _IMM_TO_REG_OP, _LOAD_SHAPE, _STORE_SIZE, OmniVM
-from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA, SET_PREDS
+from repro.omnivm.interp import _LOAD_SHAPE, _STORE_SIZE, OmniVM
+from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
 from repro.omnivm.threaded import _TERM_KINDS, ThreadedVM
 from repro.utils.bits import s32, u32
@@ -116,54 +113,9 @@ def _emit_commit(em, acct, offset, pc, depth=0):
 
 
 # ---------------------------------------------------------------------------
-# straight-line instruction emission
+# straight-line instruction emission (register ops come from the
+# repro.jitcore op table; memory, divide and fdiv are emitted here)
 # ---------------------------------------------------------------------------
-
-def _emit_alu(em, op, rd, rs, rt, const):
-    """Reg-reg (``const is None``) or folded-immediate ALU emission,
-    mirroring :func:`repro.omnivm.threaded._compile_alu` exactly.
-
-    Signed set-compares use the bias trick — ``(a ^ 0x80000000)``
-    compares unsigned exactly as ``a`` compares signed — so no
-    sign-extension statements are needed.
-    """
-    if op in SET_PREDS:
-        pred, signed = SET_PREDS[op]
-        cmp = _CMP[pred]
-        if pred in ("eq", "ne") or not signed:
-            b = f"regs[{rt}]" if const is None else str(const)
-            em.emit(f"regs[{rd}] = 1 if regs[{rs}] {cmp} {b} else 0")
-        else:
-            b = (f"(regs[{rt}] ^ {_SIGN:#x})" if const is None
-                 else str(const ^ _SIGN))
-            em.emit(f"regs[{rd}] = 1 if (regs[{rs}] ^ {_SIGN:#x}) "
-                    f"{cmp} {b} else 0")
-        return
-    b = f"regs[{rt}]" if const is None else str(const)
-    if op == "add":
-        em.emit(f"regs[{rd}] = (regs[{rs}] + {b}) & {_M:#x}")
-    elif op == "sub":
-        em.emit(f"regs[{rd}] = (regs[{rs}] - {b}) & {_M:#x}")
-    elif op == "mul":
-        em.emit(f"regs[{rd}] = (regs[{rs}] * {b}) & {_M:#x}")
-    elif op == "and":
-        em.emit(f"regs[{rd}] = regs[{rs}] & {b}")
-    elif op == "or":
-        em.emit(f"regs[{rd}] = regs[{rs}] | {b}")
-    elif op == "xor":
-        em.emit(f"regs[{rd}] = regs[{rs}] ^ {b}")
-    elif op in ("sll", "srl", "sra"):
-        sh = f"(regs[{rt}] & 31)" if const is None else str(const & 31)
-        if op == "sll":
-            em.emit(f"regs[{rd}] = (regs[{rs}] << {sh}) & {_M:#x}")
-        elif op == "srl":
-            em.emit(f"regs[{rd}] = regs[{rs}] >> {sh}")
-        else:
-            _emit_s32(em, "_a", rs)
-            em.emit(f"regs[{rd}] = (_a >> {sh}) & {_M:#x}")
-    else:  # pragma: no cover - spec table guarantees coverage
-        raise VMRuntimeError(f"unknown ALU op {op!r}")
-
 
 def _emit_mem_guard(em, acct, pc, offset, depth=0):
     """The access-violation wrapper every slow-path access carries."""
@@ -178,22 +130,7 @@ def _mem_addr(rs, other, immu, indexed):
     return f"({base}) & {_M:#x}"
 
 
-# The generated code keeps a *per-site* inline cache for every static
-# load and store in the trace: locals ``(_lb{s}, _ll{s}, _ld{s})`` for
-# the segment a load site last hit and ``(_sb{s}, _sl{s}, _sd{s})`` for
-# a store site — base, limit, and backing bytearray.  A hit costs two
-# local-int compares and a struct access, no attribute lookups and no
-# calls.  A miss takes the Memory accessor (which raises the exact
-# documented AccessViolation) and refills that site's cache from
-# ``memory._last``, which every successful slow-path access leaves
-# pointing at the serving segment with the permission just exercised.
-# One shared cache thrashes as soon as a loop touches two segments
-# (table in data, buffer on the heap); per-site caches miss once each
-# and then hit for the rest of the loop.  Only a hostcall can change
-# segment permissions mid-trace, so every site is flushed after each
-# inlined hostcall (patched in at assembly time via ``_FLUSH`` so a
-# hostcall early in a loop also drops sites emitted after it).
-# (The cache emission helpers themselves live in repro.jitcore.)
+# Per-site inline memory caches: see repro.jitcore.
 
 
 def _emit_load_cached(em, acct, pc, offset, addr, size, fast_lines,
@@ -303,33 +240,16 @@ def _emit_fmem(em, acct, instr, pc, offset):
     _emit_store_refill(em, sid, 1)
 
 
-def _emit_falu(em, acct, instr, nb, block_pc):
-    op = instr.op
-    base = op[:-1]
-    single = op in ("fadds", "fsubs", "fmuls", "fdivs",
-                    "fnegs", "fabss", "fmovs")
-    if op in ("fmovs", "fmovd", "fnegs", "fnegd", "fabss", "fabsd"):
-        expr = {"fmov": f"fregs[{instr.fs}]",
-                "fneg": f"-fregs[{instr.fs}]",
-                "fabs": f"abs(fregs[{instr.fs}])"}[base]
-        if single:
-            expr = f"round_f32({expr})"
-        em.emit(f"fregs[{instr.fd}] = {expr}")
-        return
-    # Inline the arithmetic: CPython float +,-,*,/ overflow to inf
-    # without raising, so only fdiv's explicit zero check can trap.
-    # FP traps are unattributed in the threaded tier: instret stays at
-    # the previous block boundary and pc at the block entry.
+def _emit_fdiv(em, acct, instr, nb, block_pc):
+    """``fdiv``: FP traps are unattributed in the threaded tier —
+    instret stays at the previous block boundary and pc at the block
+    entry."""
     fs, ft = instr.fs, instr.ft
-    if base == "fdiv":
-        em.emit(f"if fregs[{ft}] == 0.0:")
-        _emit_commit(em, acct, nb, block_pc, 1)
-        em.emit(f"    raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})")
-        expr = f"fregs[{fs}] / fregs[{ft}]"
-    else:
-        sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[base]
-        expr = f"fregs[{fs}] {sym} fregs[{ft}]"
-    if single:
+    em.emit(f"if fregs[{ft}] == 0.0:")
+    _emit_commit(em, acct, nb, block_pc, 1)
+    em.emit(f"    raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})")
+    expr = f"fregs[{fs}] / fregs[{ft}]"
+    if instr.op == "fdivs":
         expr = f"round_f32({expr})"
     em.emit(f"fregs[{instr.fd}] = {expr}")
 
@@ -343,43 +263,26 @@ def _emit_body_instr(em, acct, instr, pc, offset, nb, block_pc):
     """
     op = instr.op
     kind = instr.spec.kind
-    if kind == "alu":
-        if op in ("div", "divu", "rem", "remu"):
-            em.emit("try:")
-            em.emit(f"    regs[{instr.rd}] = int_divide({op!r}, "
-                    f"regs[{instr.rs}], regs[{instr.rt}])")
-            em.emit("except VMRuntimeError as err:")
-            em.emit(f"    err.fault_pc = {pc:#x}")
-            _emit_commit(em, acct, offset, pc, 1)
-            em.emit("    raise")
-        else:
-            _emit_alu(em, op, instr.rd, instr.rs, instr.rt, None)
-    elif kind == "alui":
-        _emit_alu(em, _IMM_TO_REG_OP[op], instr.rd, instr.rs, None,
-                  u32(instr.imm))
-    elif kind == "li":
-        em.emit(f"regs[{instr.rd}] = {u32(instr.imm)}")
-    elif kind == "mov":
-        em.emit(f"regs[{instr.rd}] = regs[{instr.rs}]")
+    row = OMNI_OPS.get(op)
+    if row is not None:
+        emit_op(em, row, instr)
+    elif op in ("div", "divu", "rem", "remu"):
+        em.emit("try:")
+        em.emit(f"    regs[{instr.rd}] = int_divide({op!r}, "
+                f"regs[{instr.rs}], regs[{instr.rt}])")
+        em.emit("except VMRuntimeError as err:")
+        em.emit(f"    err.fault_pc = {pc:#x}")
+        _emit_commit(em, acct, offset, pc, 1)
+        em.emit("    raise")
     elif kind in ("load", "loadx"):
         _emit_load(em, acct, instr, pc, offset)
     elif kind in ("store", "storex"):
         _emit_store(em, acct, instr, pc, offset)
     elif kind in ("fload", "floadx", "fstore", "fstorex"):
         _emit_fmem(em, acct, instr, pc, offset)
-    elif kind == "falu":
-        _emit_falu(em, acct, instr, nb, block_pc)
-    elif kind == "fcmp":
-        cmp = _CMP[{"fceq": "eq", "fclt": "lt", "fcle": "le"}[op[:-1]]]
-        em.emit(f"regs[{instr.rd}] = 1 if fregs[{instr.fs}] {cmp} "
-                f"fregs[{instr.ft}] else 0")
-    elif kind == "cvt":
-        _emit_cvt(em, instr)
-    elif kind == "ext":
-        _emit_ext(em, instr)
-    elif op == "nop":
-        pass
-    else:  # pragma: no cover - verifier rejects unknown opcodes
+    elif op in ("fdivs", "fdivd"):
+        _emit_fdiv(em, acct, instr, nb, block_pc)
+    elif op != "nop":  # pragma: no cover - verifier rejects unknown opcodes
         raise VMRuntimeError(f"unimplemented opcode {op!r}")
 
 
@@ -711,15 +614,7 @@ def superblock_source(program, entry_index: int, overrides=None) -> str:
     # every site when the function is handed a different Memory (the
     # compiled fn is shared across VMs of the same program content) or
     # when segment permissions changed since the last call.
-    cells = []
-    for s in em.load_sites:
-        cells += [f"_lb{s}", f"_ll{s}", f"_ld{s}"]
-    for s in em.store_sites:
-        cells += [f"_sb{s}", f"_sl{s}", f"_sd{s}"]
-    invalidate = " = ".join(
-        [f"_lb{s} = _ll{s}" for s in em.load_sites]
-        + [f"_sb{s} = _sl{s}" for s in em.store_sites]
-    )
+    cells, invalidate = cache_cells(em)
     out = [f"# superblock @{entry_pc:#010x} "
            f"({len(visited)} blocks, {total} instrs"
            f"{', looped' if looped else ''})",
@@ -833,7 +728,7 @@ def _path_reaches(instrs, n, start, entry, limit=MAX_TRACE_BLOCKS):
 # the tiering VM
 # ---------------------------------------------------------------------------
 
-class JitVM(SideExitPromotion, ThreadedVM):
+class JitVM(SuperblockTiering, ThreadedVM):
     """ThreadedVM with the superblock JIT tier on top.
 
     Cold blocks run on the inherited threaded tier while per-entry heat
@@ -851,86 +746,13 @@ class JitVM(SideExitPromotion, ThreadedVM):
     def __init__(self, program, memory, hostcall=None, fuel=50_000_000,
                  threaded=None, cache=None, digest=None, heat=JIT_HEAT):
         super().__init__(program, memory, hostcall, fuel, threaded=threaded)
-        self._jit_cache = cache
         self._jit_digest = digest
-        self._jit_heat = heat
-        self._heat = [0] * self._threaded.length
-        self._superblocks: dict[int, object] = {}
-        self._jit_sources: dict[int, str] = {}
-        self._superblocks_run = 0
-        self._superblocks_compiled = 0
-        self._jit_deopts = 0
-        self._jit_compile_ms = 0.0
-        profile = None
-        if cache is not None and digest is not None:
-            profile_key = ("jit-profile-omni", digest)
-            profile = cache.probe_predecoded(profile_key)
-            if profile is None:
-                profile = self.fresh_profile()
-                cache.put_predecoded(profile_key, profile)
-        self._init_promotion(profile)
-        # Adopted-profile entries dispatch straight to their promoted
-        # superblocks (the plain warm path would find the unpromoted
-        # form under the ("jit-omni", …) keys).
-        self._superblocks.update(self._promoted_fns)
+        self._init_tiering(
+            cache, heat, None if digest is None else ("jit-omni", digest),
+            ("jit-profile-omni", digest))
 
-    def run(self, entry=None):
-        compiled_before = self._superblocks_compiled
-        deopts_before = self._jit_deopts
-        ms_before = self._jit_compile_ms
-        runs_before = self._superblocks_run
-        promotions_before = self._jit_promotions
-        try:
-            return super().run(entry)
-        finally:
-            if metrics.active():
-                compiled = self._superblocks_compiled - compiled_before
-                if compiled:
-                    metrics.count("execute.superblocks", compiled)
-                deopts = self._jit_deopts - deopts_before
-                if deopts:
-                    metrics.count("execute.deopts", deopts)
-                ms = self._jit_compile_ms - ms_before
-                if ms:
-                    metrics.count("execute.jit_compile_ms", ms)
-                runs = self._superblocks_run - runs_before
-                if runs:
-                    metrics.count("execute.superblock_runs", runs)
-                promotions = self._jit_promotions - promotions_before
-                if promotions:
-                    metrics.count("execute.jit_promotions", promotions)
-
-    def _compile_entry(self, index):
-        """Compile (or fetch from the side table) the superblock at
-        *index* and install it in the dispatch map.  Entries with
-        promotion overrides are profile-specialized: their compiled
-        form travels with the promotion profile, not the plain
-        ``("jit-omni", …)`` keys."""
-        overrides = self._trace_overrides.get(index)
-        cache = self._jit_cache
-        key = None
-        if overrides:
-            fn = self._promoted_fns.get(index)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        elif cache is not None and self._jit_digest is not None:
-            key = ("jit-omni", self._jit_digest, index)
-            fn = cache.probe_predecoded(key)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        start = time.perf_counter()
-        source, fn = compile_superblock(self._threaded, index, overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        self._superblocks_compiled += 1
-        self._jit_sources[index] = source
-        self._superblocks[index] = fn
-        if overrides:
-            self._promoted_fns[index] = fn
-        elif key is not None:
-            cache.put_predecoded(key, fn)
-        return fn
+    def _compile(self, index, overrides):
+        return compile_superblock(self._threaded, index, overrides)
 
     # -- promotion hooks (repro.jitcore.SideExitPromotion) ---------------
 
@@ -951,20 +773,6 @@ class JitVM(SideExitPromotion, ThreadedVM):
         if e_off & 7 or not 0 <= (e_off >> 3) < n:
             return False
         return _path_reaches(instrs, n, e_off >> 3, entry)
-
-    def _repromote_entry(self, entry):
-        start = time.perf_counter()
-        overrides = self._trace_overrides.get(entry)
-        source, fn = compile_superblock(self._threaded, entry, overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        self._superblocks_compiled += 1
-        self._jit_sources[entry] = source
-        self._superblocks[entry] = fn
-        if overrides:
-            self._promoted_fns[entry] = fn
-        else:
-            # all overrides reverted: the plain trace is current again
-            self._promoted_fns.pop(entry, None)
 
     def _anchor_exit(self, exit_loc):
         off = exit_loc - CODE_BASE

@@ -8,10 +8,12 @@ paper puts translation cost:
 
 * **predecode** — each :class:`~repro.omnivm.isa.VMInstr` is compiled
   once into a bound Python closure: operands are resolved to list
-  indexes, immediate forms are folded to their register-op equivalents
-  (``addi`` becomes an ``add`` against a pre-normalized constant), and
-  the predicate/shape tables are consulted once.  The closures live in
-  a per-program dispatch array indexed by pc;
+  indexes, immediates are pre-normalized constants, and the
+  predicate/shape tables are consulted once.  Register ops take their
+  closure from the op table of :mod:`repro.jitcore` (the text the JIT
+  emits, compiled once per process into a closure factory); memory,
+  divide and control ops are written here.  The closures live in a
+  per-program dispatch array indexed by pc;
 * **basic-block batching** — straight-line runs execute without
   re-entering the dispatch loop; ``instret`` and the fuel check are
   charged once per block, so a fuel cut (including the service
@@ -45,14 +47,10 @@ from repro.errors import (
     VMRuntimeError,
     VMTrap,
 )
+from repro.jitcore import OMNI_OPS, threaded_closure
 from repro.omnivm import semantics
-from repro.omnivm.interp import (
-    _IMM_TO_REG_OP,
-    _LOAD_SHAPE,
-    _STORE_SIZE,
-    OmniVM,
-)
-from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA, SET_PREDS
+from repro.omnivm.interp import _LOAD_SHAPE, _STORE_SIZE, OmniVM
+from repro.omnivm.isa import BRANCH_PREDS, INSTR_SIZE, REG_RA
 from repro.omnivm.memory import CODE_BASE
 from repro.utils.bits import round_f32, s32, u32
 
@@ -66,208 +64,6 @@ __all__ = ["ThreadedProgram", "ThreadedVM", "predecode_program"]
 # ---------------------------------------------------------------------------
 # straight-line (body) closures: fn(regs, fregs, memory) -> None
 # ---------------------------------------------------------------------------
-
-def _compile_alu(op, rd, a_get, b_get):
-    """Shared reg-reg / folded-immediate ALU compiler.
-
-    ``a_get``/``b_get`` are either register indexes (int) or constants
-    (("const", value)); the emitted closure reads them accordingly.
-    """
-    # Specialize the operand access pattern: (reg, reg) or (reg, const).
-    # Only these two shapes occur (immediates are always the second
-    # operand after folding).
-    rs = a_get
-    const = b_get[1] if isinstance(b_get, tuple) else None
-    rt = b_get if const is None else None
-
-    if op in SET_PREDS:
-        pred, signed = SET_PREDS[op]
-        return _compile_set(pred, signed, rd, rs, rt, const)
-
-    if const is None:
-        if op == "add":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] + regs[rt]) & _M
-        elif op == "sub":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] - regs[rt]) & _M
-        elif op == "mul":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] * regs[rt]) & _M
-        elif op == "and":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] & regs[rt]
-        elif op == "or":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] | regs[rt]
-        elif op == "xor":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] ^ regs[rt]
-        elif op == "sll":
-            def fn(regs, fregs, memory):
-                regs[rd] = (regs[rs] << (regs[rt] & 31)) & _M
-        elif op == "srl":
-            def fn(regs, fregs, memory):
-                regs[rd] = regs[rs] >> (regs[rt] & 31)
-        elif op == "sra":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = (a >> (regs[rt] & 31)) & _M
-        else:  # pragma: no cover
-            raise VMRuntimeError(f"unknown ALU op {op!r}")
-        return fn
-    # folded-immediate forms
-    if op == "add":
-        def fn(regs, fregs, memory):
-            regs[rd] = (regs[rs] + const) & _M
-    elif op == "mul":
-        def fn(regs, fregs, memory):
-            regs[rd] = (regs[rs] * const) & _M
-    elif op == "and":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] & const
-    elif op == "or":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] | const
-    elif op == "xor":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] ^ const
-    elif op == "sll":
-        sh = const & 31
-
-        def fn(regs, fregs, memory):
-            regs[rd] = (regs[rs] << sh) & _M
-    elif op == "srl":
-        sh = const & 31
-
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs] >> sh
-    elif op == "sra":
-        sh = const & 31
-
-        def fn(regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = (a >> sh) & _M
-    else:  # pragma: no cover
-        raise VMRuntimeError(f"unknown ALU op {op!r}")
-    return fn
-
-
-def _compile_set(pred, signed, rd, rs, rt, const):
-    """Compare-to-register closures (reg/reg and reg/const forms)."""
-    if const is None:
-        if pred == "eq":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] == regs[rt] else 0
-        elif pred == "ne":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] != regs[rt] else 0
-        elif signed:
-            if pred == "lt":
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a < b else 0
-            elif pred == "le":
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a <= b else 0
-            elif pred == "gt":
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a > b else 0
-            else:  # ge
-                def fn(regs, fregs, memory):
-                    a = regs[rs]
-                    b = regs[rt]
-                    if a & _SIGN:
-                        a -= _WRAP
-                    if b & _SIGN:
-                        b -= _WRAP
-                    regs[rd] = 1 if a >= b else 0
-        else:
-            if pred == "lt":
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] < regs[rt] else 0
-            elif pred == "le":
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] <= regs[rt] else 0
-            elif pred == "gt":
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] > regs[rt] else 0
-            else:  # ge
-                def fn(regs, fregs, memory):
-                    regs[rd] = 1 if regs[rs] >= regs[rt] else 0
-        return fn
-    # constant second operand, pre-normalized to the legacy convention:
-    # unsigned compares see u32(imm); signed compares see s32(u32(imm)).
-    b = s32(const) if signed else const
-    if pred == "eq":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] == const else 0
-        return fn
-    if pred == "ne":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] != const else 0
-        return fn
-    if signed:
-        if pred == "lt":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a < b else 0
-        elif pred == "le":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a <= b else 0
-        elif pred == "gt":
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a > b else 0
-        else:  # ge
-            def fn(regs, fregs, memory):
-                a = regs[rs]
-                if a & _SIGN:
-                    a -= _WRAP
-                regs[rd] = 1 if a >= b else 0
-    else:
-        if pred == "lt":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] < b else 0
-        elif pred == "le":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] <= b else 0
-        elif pred == "gt":
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] > b else 0
-        else:  # ge
-            def fn(regs, fregs, memory):
-                regs[rd] = 1 if regs[rs] >= b else 0
-    return fn
-
 
 def _compile_load(instr, pc):
     op = instr.op
@@ -403,115 +199,23 @@ def _compile_fmem(instr, pc):
     return fn
 
 
-def _compile_falu(instr):
-    op = instr.op
-    fd, fs, ft = instr.fd, instr.fs, instr.ft
-    base = op[:-1]
-    single = op in ("fadds", "fsubs", "fmuls", "fdivs",
-                    "fnegs", "fabss", "fmovs")
-    if op in ("fmovs", "fmovd", "fnegs", "fnegd", "fabss", "fabsd"):
-        fp_unop = semantics.fp_unop
-        if single:
-            def fn(regs, fregs, memory):
-                fregs[fd] = round_f32(fp_unop(base, fregs[fs]))
-        else:
-            def fn(regs, fregs, memory):
-                fregs[fd] = fp_unop(base, fregs[fs])
-        return fn
-    fp_binop = semantics.fp_binop
-    if single:
-        def fn(regs, fregs, memory):
-            fregs[fd] = round_f32(fp_binop(base, fregs[fs], fregs[ft]))
-    else:
-        def fn(regs, fregs, memory):
-            fregs[fd] = fp_binop(base, fregs[fs], fregs[ft])
-    return fn
-
-
-def _compile_fcmp(instr):
-    op = instr.op
-    rd, fs, ft = instr.rd, instr.fs, instr.ft
-    pred = op[:-1]
-    if pred == "fceq":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if fregs[fs] == fregs[ft] else 0
-    elif pred == "fclt":
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if fregs[fs] < fregs[ft] else 0
-    else:  # fcle
-        def fn(regs, fregs, memory):
-            regs[rd] = 1 if fregs[fs] <= fregs[ft] else 0
-    return fn
-
-
-def _compile_cvt(instr):
-    op = instr.op
-    rd, rs = instr.rd, instr.rs
-    fd, fs = instr.fd, instr.fs
-    f_to_i32 = semantics.f_to_i32
-    f_to_u32 = semantics.f_to_u32
-    if op == "cvtdw":
-        def fn(regs, fregs, memory):
-            a = regs[rs]
-            fregs[fd] = float(a - _WRAP if a & _SIGN else a)
-    elif op == "cvtsw":
-        def fn(regs, fregs, memory):
-            a = regs[rs]
-            fregs[fd] = round_f32(float(a - _WRAP if a & _SIGN else a))
-    elif op == "cvtdwu":
-        def fn(regs, fregs, memory):
-            fregs[fd] = float(regs[rs])
-    elif op == "cvtswu":
-        def fn(regs, fregs, memory):
-            fregs[fd] = round_f32(float(regs[rs]))
-    elif op in ("cvtwd", "cvtws"):
-        def fn(regs, fregs, memory):
-            regs[rd] = f_to_i32(fregs[fs])
-    elif op in ("cvtwud", "cvtwus"):
-        def fn(regs, fregs, memory):
-            regs[rd] = f_to_u32(fregs[fs])
-    elif op == "cvtds":
-        def fn(regs, fregs, memory):
-            fregs[fd] = fregs[fs]
-    elif op == "cvtsd":
-        def fn(regs, fregs, memory):
-            fregs[fd] = round_f32(fregs[fs])
-    else:  # pragma: no cover
-        raise VMRuntimeError(f"unknown conversion {op!r}")
-    return fn
-
-
 def _compile_body(instr, pc):
     """Compile one straight-line instruction; None for pure ``nop``."""
     op = instr.op
+    row = OMNI_OPS.get(op)
+    if row is not None:
+        return threaded_closure(row, instr)
     kind = instr.spec.kind
-    rd, rs = instr.rd, instr.rs
-
-    if kind == "alu":
-        if op in ("div", "divu", "rem", "remu"):
-            rt = instr.rt
-            int_divide = semantics.int_divide
-
-            def fn(regs, fregs, memory):
-                try:
-                    regs[rd] = int_divide(op, regs[rs], regs[rt])
-                except VMRuntimeError as err:
-                    err.fault_pc = pc
-                    raise
-            return fn
-        return _compile_alu(op, rd, rs, instr.rt)
-    if kind == "alui":
-        return _compile_alu(_IMM_TO_REG_OP[op], rd, rs,
-                            ("const", u32(instr.imm)))
-    if kind == "li":
-        value = u32(instr.imm)
+    rd, rs, rt = instr.rd, instr.rs, instr.rt
+    if op in ("div", "divu", "rem", "remu"):
+        int_divide = semantics.int_divide
 
         def fn(regs, fregs, memory):
-            regs[rd] = value
-        return fn
-    if kind == "mov":
-        def fn(regs, fregs, memory):
-            regs[rd] = regs[rs]
+            try:
+                regs[rd] = int_divide(op, regs[rs], regs[rt])
+            except VMRuntimeError as err:
+                err.fault_pc = pc
+                raise
         return fn
     if kind in ("load", "loadx"):
         return _compile_load(instr, pc)
@@ -519,17 +223,16 @@ def _compile_body(instr, pc):
         return _compile_store(instr, pc)
     if kind in ("fload", "floadx", "fstore", "fstorex"):
         return _compile_fmem(instr, pc)
-    if kind == "falu":
-        return _compile_falu(instr)
-    if kind == "fcmp":
-        return _compile_fcmp(instr)
-    if kind == "cvt":
-        return _compile_cvt(instr)
-    if kind == "ext":
-        extend = semantics.extend
-
-        def fn(regs, fregs, memory):
-            regs[rd] = extend(op, regs[rs])
+    if op in ("fdivs", "fdivd"):
+        # FP traps are unattributed: no fault pc.
+        fd, fs, ft = instr.fd, instr.fs, instr.ft
+        fp_binop = semantics.fp_binop
+        if op == "fdivs":
+            def fn(regs, fregs, memory):
+                fregs[fd] = round_f32(fp_binop("fdiv", fregs[fs], fregs[ft]))
+        else:
+            def fn(regs, fregs, memory):
+                fregs[fd] = fp_binop("fdiv", fregs[fs], fregs[ft])
         return fn
     if op == "nop":
         return None

@@ -73,6 +73,7 @@ Quick start::
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import queue
 import random
@@ -386,8 +387,8 @@ class ServiceStats:
 
     Counters are mirrored as ``service.*`` into every active
     :mod:`repro.metrics` collector and into *collector* (normally the
-    owning engine's) even when it is not globally installed — service
-    bookkeeping happens outside the engine's collecting sections.
+    owning engine's) even where it is not active — admission control
+    (``rejected``) counts outside any request's collecting scope.
 
     Latency samples are bounded: a ring buffer keeps the most recent
     ``latency_window`` observations, so percentiles describe current
@@ -409,10 +410,13 @@ class ServiceStats:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + amount
         qualified = f"service.{name}"
-        metrics.count(qualified, amount)
-        if self._collector is not None and self._collector not in \
-                metrics._ACTIVE:
-            self._collector.count(qualified, amount)
+        if self._collector is None:
+            metrics.count(qualified, amount)
+            return
+        # Installing an already-active collector is a no-op, so the
+        # owning collector sees the count exactly once.
+        with metrics.collect(self._collector):
+            metrics.count(qualified, amount)
 
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
@@ -709,8 +713,11 @@ class ModuleHost:
         if not request.request_id:
             request.request_id = f"req-{next(self._ids)}"
         pending = PendingRequest(request)
+        # The worker runs the request in a copy of the submitter's
+        # context, so collectors active here observe it too.
         try:
-            self._queue.put((request, pending), block=block)
+            self._queue.put((request, pending, contextvars.copy_context()),
+                            block=block)
         except queue.Full:
             self.stats.count("rejected")
             raise ServiceOverloaded(
@@ -760,9 +767,9 @@ class ModuleHost:
             if item is _SHUTDOWN:
                 self._queue.task_done()
                 return
-            request, pending = item
+            request, pending, context = item
             try:
-                response = self._execute(request)
+                response = context.run(self._execute, request)
             except BaseException as err:  # defensive: never kill a worker
                 response = ModuleResponse(
                     request_id=request.request_id, ok=False,
@@ -774,6 +781,12 @@ class ModuleHost:
             pending._resolve(response)
 
     def _execute(self, request: ModuleRequest) -> ModuleResponse:
+        # Every stage of the request — including ``module.run`` —
+        # records into the engine's collector.
+        with self.engine._collecting():
+            return self._serve(request)
+
+    def _serve(self, request: ModuleRequest) -> ModuleResponse:
         start = time.perf_counter()
         self.stats.count("request")
         engine = self.engine

@@ -55,29 +55,25 @@ arch, options_digest, entry)`` keys, which digest-filtered invalidation
 
 from __future__ import annotations
 
-import time
-
-from repro import metrics
 from repro.errors import (
     AccessViolation,
     FuelExhausted,
     VMRuntimeError,
 )
 from repro.jitcore import (
-    CMP as _CMP,
-    CMP_INV as _CMP_INV,
     FLUSH as _FLUSH,
     JIT_HEAT,
     MAX_TRACE_BLOCKS,
     MAX_TRACE_INSTRS,
     Emitter as _Emitter,
-    SideExitPromotion,
+    SuperblockTiering,
     base_exec_globals,
     cache_cells,
-    emit_cvt as _emit_cvt,
-    emit_ext as _emit_ext,
+    cc_test,
     emit_load_refill as _emit_load_refill,
+    emit_op,
     emit_store_refill as _emit_store_refill,
+    native_row,
 )
 from repro.omnivm import semantics
 from repro.targets.threaded import (
@@ -93,8 +89,6 @@ from repro.targets.threaded import (
 from repro.utils.bits import s32, u32
 
 _M = 0xFFFFFFFF
-_SIGN = 0x80000000
-_WRAP = 0x100000000
 
 #: Assembly-time placeholder for "write the scoreboard/cycle locals and
 #: the condition codes back to the machine" — expanded once the full
@@ -111,24 +105,7 @@ __all__ = [
 
 _EXEC_GLOBALS = base_exec_globals()
 
-#: Straight-line ops the emitter covers (everything else would fall to
-#: ``TargetMachine.execute`` in the threaded tier and makes the
-#: enclosing block untraceable).
-_ALU_OPS = frozenset(
-    "add addi sub mul and andi or ori xor xori nor sll slli srl srli "
-    "sra srai li lui mov slt sltu slti sltiu sext8 sext16 zext8 zext16 "
-    "cmp subcc cmpi setcc fcmp fcmps sethnd nop".split()
-)
 _DIV_OPS = frozenset("div divu rem remu".split())
-_FP_OPS = frozenset(
-    "fadds fsubs fmuls fdivs faddd fsubd fmuld fdivd "
-    "fnegs fnegd fabss fabsd fmovs fmovd "
-    "fceqs fclts fcles fceqd fcltd fcled".split()
-)
-_CVT_OPS = frozenset(
-    "cvtdw cvtsw cvtdwu cvtswu cvtwd cvtws cvtwud cvtwus cvtds "
-    "cvtsd".split()
-)
 _MEM_OPS = frozenset(_LOAD_SHAPES) | frozenset(_STORE_SIZES) | frozenset(
     "lw lwx sw swx lfs lfd lfsx lfdx sfs sfd sfsx sfdx".split()
 )
@@ -153,9 +130,13 @@ class _Unsupported(Exception):
 
 
 def _supported(mi) -> bool:
+    """Inside the emitter's vocabulary: a table row, or a memory,
+    divide or ``fdiv`` op (anything else would fall to
+    ``TargetMachine.execute`` in the threaded tier and makes the
+    enclosing block untraceable)."""
     op = mi.op
-    return (op in _ALU_OPS or op in _MEM_OPS or op in _FP_OPS
-            or op in _DIV_OPS or op in _CVT_OPS)
+    return (op in _MEM_OPS or op in _DIV_OPS or op in ("fdivs", "fdivd")
+            or native_row(mi) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +371,9 @@ def _mem_fault_ctx(mode, w, term_k):
 
 
 def _emit_mem(w, em, k, depth, mode, term_k) -> None:
-    """One memory op, mirroring ``_sem_mem`` exactly: same address
-    arithmetic, same accessor on the slow path (so the raised
-    AccessViolation is identical), plus the inline-cache fast path."""
+    """One memory op: the address arithmetic and slow-path accessor of
+    the threaded tier's ``_sem_mem`` (so the raised AccessViolation is
+    identical), plus the inline-cache fast path."""
     mi = w.instrs[k]
     op = mi.op
     rd, rs, rt, fd, ft = mi.rd, mi.rs, mi.rt, mi.fd, mi.ft
@@ -517,119 +498,6 @@ def _emit_mem(w, em, k, depth, mode, term_k) -> None:
     _emit_store_refill(em, sid, depth + 1)
 
 
-def _emit_alu(w, em, mi, depth) -> None:
-    """Mirror ``_sem_alu`` exactly (no charge, no faults)."""
-    op = mi.op
-    rd, rs, rt = mi.rd, mi.rs, mi.rt
-    immu = u32(mi.imm)
-    two = {"add": ("+", True), "sub": ("-", True), "mul": ("*", True),
-           "and": ("&", False), "or": ("|", False), "xor": ("^", False)}
-    if op in two:
-        sym, masked = two[op]
-        expr = f"regs[{rs}] {sym} regs[{rt}]"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if masked
-                else f"regs[{rd}] = {expr}", depth)
-    elif op in ("addi", "andi", "ori", "xori"):
-        sym = {"addi": "+", "andi": "&", "ori": "|", "xori": "^"}[op]
-        expr = f"regs[{rs}] {sym} {immu}"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if op == "addi"
-                else f"regs[{rd}] = {expr}", depth)
-    elif op == "nor":
-        em.emit(f"regs[{rd}] = (~(regs[{rs}] | regs[{rt}])) & {_M:#x}",
-                depth)
-    elif op in ("sll", "srl"):
-        sym = "<<" if op == "sll" else ">>"
-        expr = f"regs[{rs}] {sym} (regs[{rt}] & 31)"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if op == "sll"
-                else f"regs[{rd}] = {expr}", depth)
-    elif op in ("slli", "srli"):
-        sh = mi.imm & 31
-        sym = "<<" if op == "slli" else ">>"
-        expr = f"regs[{rs}] {sym} {sh}"
-        em.emit(f"regs[{rd}] = ({expr}) & {_M:#x}" if op == "slli"
-                else f"regs[{rd}] = {expr}", depth)
-    elif op in ("sra", "srai"):
-        sh = f"(regs[{rt}] & 31)" if op == "sra" else str(mi.imm & 31)
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"regs[{rd}] = (_a >> {sh}) & {_M:#x}", depth)
-    elif op == "li":
-        em.emit(f"regs[{rd}] = {immu}", depth)
-    elif op == "lui":
-        # Like the legacy executor, the shifted value is not re-masked.
-        em.emit(f"regs[{rd}] = {immu << 16}", depth)
-    elif op == "mov":
-        em.emit(f"regs[{rd}] = regs[{rs}]", depth)
-    elif op == "slt":
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"_b = regs[{rt}]", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"if _b & {_SIGN:#x}:", depth)
-        em.emit(f"    _b -= {_WRAP:#x}", depth)
-        em.emit(f"regs[{rd}] = 1 if _a < _b else 0", depth)
-    elif op == "sltu":
-        em.emit(f"regs[{rd}] = 1 if regs[{rs}] < regs[{rt}] else 0", depth)
-    elif op == "slti":
-        b = immu - _WRAP if immu & _SIGN else immu
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"regs[{rd}] = 1 if _a < {b} else 0", depth)
-    elif op == "sltiu":
-        em.emit(f"regs[{rd}] = 1 if regs[{rs}] < {immu} else 0", depth)
-    elif op in ("sext8", "sext16", "zext8", "zext16"):
-        sub = _Emitter(em)
-        _emit_ext(sub, mi)
-        pad = "    " * depth
-        em.lines.extend(pad + line for line in sub.lines)
-    elif op in ("cmp", "subcc"):
-        w.uses_cc = True
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"_b = regs[{rt}]", depth)
-        em.emit("_ccu = (_a > _b) - (_a < _b)", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"if _b & {_SIGN:#x}:", depth)
-        em.emit(f"    _b -= {_WRAP:#x}", depth)
-        em.emit("_ccs = (_a > _b) - (_a < _b)", depth)
-    elif op == "cmpi":
-        w.uses_cc = True
-        bs = immu - _WRAP if immu & _SIGN else immu
-        em.emit(f"_a = regs[{rs}]", depth)
-        em.emit(f"_ccu = (_a > {immu}) - (_a < {immu})", depth)
-        em.emit(f"if _a & {_SIGN:#x}:", depth)
-        em.emit(f"    _a -= {_WRAP:#x}", depth)
-        em.emit(f"_ccs = (_a > {bs}) - (_a < {bs})", depth)
-    elif op == "setcc":
-        w.uses_cc = True
-        em.emit(f"regs[{rd}] = 1 if {_cc_expr(mi.pred)} else 0", depth)
-    elif op in ("fcmp", "fcmps"):
-        w.uses_cc = True
-        em.emit(f"_a = fregs[{mi.fs}]", depth)
-        em.emit(f"_b = fregs[{mi.ft}]", depth)
-        em.emit("_ccs = (_a > _b) - (_a < _b)", depth)
-        em.emit("_ccu = _ccs", depth)
-    elif op == "sethnd":
-        em.emit(f"m.handler_omni = regs[{rs}]", depth)
-    elif op == "nop":
-        pass
-    else:  # pragma: no cover - _supported() gates the vocabulary
-        raise _Unsupported(op)
-
-
-def _cc_expr(pred: str, invert: bool = False) -> str:
-    """Condition-code predicate over the ``_ccs``/``_ccu`` locals."""
-    if pred in ("ltu", "leu", "gtu", "geu"):
-        var, base = "_ccu", pred[:-1]
-    else:
-        var, base = "_ccs", pred
-    if invert:
-        base = _CMP_INV[base]
-    return f"{var} {_CMP[base]} 0"
-
-
 # ---------------------------------------------------------------------------
 # faulting / floating-point body ops
 # ---------------------------------------------------------------------------
@@ -649,45 +517,26 @@ def _emit_div(w, em, k, depth, mode, term_k) -> None:
         em.emit("raise", depth + 1)
 
 
-def _emit_fp(w, em, k, depth, mode, term_k) -> None:
-    """FP arithmetic, compares and moves, mirroring ``fp_binop`` /
-    ``fp_unop`` / ``fp_compare`` — including the divide-by-zero trap,
-    which the threaded tier raises *without* a fault prefix (the block
-    commit stands at the last boundary; the charge is already done)."""
+def _emit_fdiv(w, em, k, depth, mode, term_k) -> None:
+    """``fdiv``, including the divide-by-zero trap, which the threaded
+    tier raises *without* a fault prefix (the block commit stands at
+    the last boundary; the charge is already done)."""
     mi = w.instrs[k]
-    op = mi.op
-    base, single = op[:-1], op.endswith("s")
-    fd, fs, ft = mi.fd, mi.fs, mi.ft
-    if base in ("fceq", "fclt", "fcle"):
-        sym = {"fceq": "==", "fclt": "<", "fcle": "<="}[base]
-        em.emit(f"regs[{mi.rd}] = 1 if fregs[{fs}] {sym} fregs[{ft}] "
-                "else 0", depth)
-        return
-    if base in ("fneg", "fabs", "fmov"):
-        expr = {"fneg": f"-fregs[{fs}]", "fabs": f"abs(fregs[{fs}])",
-                "fmov": f"fregs[{fs}]"}[base]
-        if single:
-            expr = f"round_f32({expr})"
-        em.emit(f"fregs[{fd}] = {expr}", depth)
-        return
-    if base == "fdiv":
-        em.emit(f"if fregs[{ft}] == 0.0:", depth)
-        if mode == "body":
-            # The threaded tier's block commit stops at the block
-            # boundary before the faulting block.
-            _emit_exit_state(w, em, w.block_entry, depth + 1,
-                             pending=w.block_pending, pcats=w.block_pcats)
-        elif mode == "slot_local":
-            _emit_exit_state(w, em, term_k, depth + 1)
-        em.emit(f"    raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})",
-                depth)
-        expr = f"fregs[{fs}] / fregs[{ft}]"
-    else:
-        sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[base]
-        expr = f"fregs[{fs}] {sym} fregs[{ft}]"
-    if single:
+    fs, ft = mi.fs, mi.ft
+    em.emit(f"if fregs[{ft}] == 0.0:", depth)
+    if mode == "body":
+        # The threaded tier's block commit stops at the block
+        # boundary before the faulting block.
+        _emit_exit_state(w, em, w.block_entry, depth + 1,
+                         pending=w.block_pending, pcats=w.block_pcats)
+    elif mode == "slot_local":
+        _emit_exit_state(w, em, term_k, depth + 1)
+    em.emit(f"    raise VMRuntimeError({semantics.FP_DIV_ZERO_MSG!r})",
+            depth)
+    expr = f"fregs[{fs}] / fregs[{ft}]"
+    if mi.op == "fdivs":
         expr = f"round_f32({expr})"
-    em.emit(f"fregs[{fd}] = {expr}", depth)
+    em.emit(f"fregs[{mi.fd}] = {expr}", depth)
 
 
 def _emit_instr(w, em, k, depth, mode, term_k) -> None:
@@ -711,17 +560,15 @@ def _emit_instr(w, em, k, depth, mode, term_k) -> None:
         _emit_mem(w, em, k, depth, mode, term_k)
     elif op in _DIV_OPS:
         _emit_div(w, em, k, depth, mode, term_k)
-    elif op in _FP_OPS:
-        _emit_fp(w, em, k, depth, mode, term_k)
-    elif op in _CVT_OPS:
-        sub = _Emitter(em)
-        _emit_cvt(sub, mi)
-        pad = "    " * depth
-        em.lines.extend(pad + line for line in sub.lines)
-    elif op in _ALU_OPS:
-        _emit_alu(w, em, mi, depth)
-    else:  # pragma: no cover - _block_traceable gates the vocabulary
-        raise _Unsupported(op)
+    elif op in ("fdivs", "fdivd"):
+        _emit_fdiv(w, em, k, depth, mode, term_k)
+    else:
+        row = native_row(mi)
+        if row is None:  # pragma: no cover - _block_traceable gates it
+            raise _Unsupported(op)
+        if "{cc" in row:
+            w.uses_cc = True
+        emit_op(em, row, mi, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +610,8 @@ def _branch_exprs(w, mi):
                 _BR_UNTAKEN[op].format(rs=mi.rs))
     # bcc / fbcc read the condition codes
     w.uses_cc = True
-    return _cc_expr(mi.pred), _cc_expr(mi.pred, invert=True)
+    return (cc_test(mi.pred).format(ccs="_ccs", ccu="_ccu"),
+            cc_test(mi.pred, invert=True).format(ccs="_ccs", ccu="_ccu"))
 
 
 def _chain_coupled(w, k) -> bool:
@@ -1238,7 +1086,7 @@ def _native_path_reaches(instrs, n, start, entry,
 # the JIT machine
 # ---------------------------------------------------------------------------
 
-class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
+class JitTargetMachine(SuperblockTiering, ThreadedTargetMachine):
     """ThreadedTargetMachine with the native superblock JIT on top.
 
     Cold blocks run on the inherited threaded tier while per-entry heat
@@ -1259,92 +1107,13 @@ class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
                  cache=None, jit_key=None, heat=JIT_HEAT):
         super().__init__(spec, instrs, memory, omni_to_native,
                          hostcall, fuel, threaded=threaded)
-        self._jit_cache = cache
         self._jit_key = tuple(jit_key) if jit_key is not None else None
-        self._jit_heat = heat
-        self._heat = [0] * self._threaded.length
-        self._superblocks: dict[int, object] = {}
-        self._jit_sources: dict[int, str] = {}
-        self._superblocks_run = 0
-        self._superblocks_compiled = 0
-        self._jit_deopts = 0
-        self._jit_compile_ms = 0.0
-        profile = None
-        if cache is not None and self._jit_key is not None:
-            profile_key = ("jit-profile",) + self._jit_key[1:]
-            profile = cache.probe_predecoded(profile_key)
-            if profile is None:
-                profile = self.fresh_profile()
-                cache.put_predecoded(profile_key, profile)
-        self._init_promotion(profile)
-        # Adopted-profile entries dispatch straight to their promoted
-        # superblocks (the plain warm path would find the unpromoted
-        # form under the ("jit-native", …) keys).
-        self._superblocks.update(self._promoted_fns)
+        self._init_tiering(
+            cache, heat, self._jit_key,
+            None if jit_key is None else ("jit-profile",) + self._jit_key[1:])
 
-    def run(self, entry_native_index: int) -> int:
-        compiled_before = self._superblocks_compiled
-        deopts_before = self._jit_deopts
-        ms_before = self._jit_compile_ms
-        runs_before = self._superblocks_run
-        promotions_before = self._jit_promotions
-        try:
-            return super().run(entry_native_index)
-        finally:
-            if metrics.active():
-                compiled = self._superblocks_compiled - compiled_before
-                if compiled:
-                    metrics.count("execute.superblocks", compiled)
-                deopts = self._jit_deopts - deopts_before
-                if deopts:
-                    metrics.count("execute.deopts", deopts)
-                ms = self._jit_compile_ms - ms_before
-                if ms:
-                    metrics.count("execute.jit_compile_ms", ms)
-                runs = self._superblocks_run - runs_before
-                if runs:
-                    metrics.count("execute.superblock_runs", runs)
-                promotions = self._jit_promotions - promotions_before
-                if promotions:
-                    metrics.count("execute.jit_promotions", promotions)
-
-    def _compile_entry(self, index):
-        """Compile (or fetch from the side table) the superblock at
-        *index* and install it in the dispatch map.  Entries with
-        promotion overrides are profile-specialized: their compiled
-        form travels with the promotion profile, not the plain
-        ``("jit-native", …)`` keys."""
-        overrides = self._trace_overrides.get(index)
-        cache = self._jit_cache
-        key = None
-        if overrides:
-            fn = self._promoted_fns.get(index)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        elif cache is not None and self._jit_key is not None:
-            key = self._jit_key + (index,)
-            fn = cache.probe_predecoded(key)
-            if fn is not None:
-                self._superblocks[index] = fn
-                return fn
-        start = time.perf_counter()
-        source, fn = compile_native_superblock(self._threaded, index,
-                                               overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        if fn is None:
-            # The entry block is outside the emitter's vocabulary: pin
-            # its heat so the threaded tier keeps it for good.
-            self._heat[index] = -(1 << 30)
-            return None
-        self._superblocks_compiled += 1
-        self._jit_sources[index] = source
-        self._superblocks[index] = fn
-        if overrides:
-            self._promoted_fns[index] = fn
-        elif key is not None:
-            cache.put_predecoded(key, fn)
-        return fn
+    def _compile(self, index, overrides):
+        return compile_native_superblock(self._threaded, index, overrides)
 
     # -- promotion hooks (repro.jitcore.SideExitPromotion) ---------------
 
@@ -1361,23 +1130,6 @@ class JitTargetMachine(SideExitPromotion, ThreadedTargetMachine):
             # flipping the prediction would destroy the loop trace.
             return False
         return _native_path_reaches(instrs, n, exit_loc, entry)
-
-    def _repromote_entry(self, entry):
-        start = time.perf_counter()
-        overrides = self._trace_overrides.get(entry)
-        source, fn = compile_native_superblock(self._threaded, entry,
-                                               overrides)
-        self._jit_compile_ms += (time.perf_counter() - start) * 1000.0
-        if fn is None:
-            return
-        self._superblocks_compiled += 1
-        self._jit_sources[entry] = source
-        self._superblocks[entry] = fn
-        if overrides:
-            self._promoted_fns[entry] = fn
-        else:
-            # all overrides reverted: the plain trace is current again
-            self._promoted_fns.pop(entry, None)
 
     def _anchor_exit(self, exit_loc):
         if 0 <= exit_loc < self._threaded.length \

@@ -7,10 +7,14 @@ immediates — and then executed as lazily-discovered basic blocks with
 ``instret``, the fuel check, and the Figure-1 category counters charged
 once per block.
 
-The cycle-accurate parts stay per-instruction: each closure still calls
-:meth:`TargetMachine._charge` in original program order (the scoreboard,
-dual-issue pairing, and memory-resident-register costs are stateful), so
-``cycles`` is bit-identical to the legacy executor.  What the threaded
+Register ops take their closures from the op table of
+:mod:`repro.jitcore` (the text the native JIT emits, compiled once per
+process into a closure factory); memory, divide and control ops are
+written here.  The cycle-accurate parts stay per-instruction: each
+closure still calls :meth:`TargetMachine._charge` in original program
+order (the scoreboard, dual-issue pairing, and memory-resident-register
+costs are stateful), so ``cycles`` is bit-identical to the legacy
+executor.  What the threaded
 engine removes is the per-step dispatch chain, the per-step fuel and
 category bookkeeping, and the dict-built condition-code predicate of
 ``_cc_predicate`` (predecoded to one closure per predicate).
@@ -32,6 +36,7 @@ from repro.errors import (
     VMRuntimeError,
     VMTrap,
 )
+from repro.jitcore import native_row, threaded_closure
 from repro.omnivm import semantics
 from repro.targets.base import MInstr, TargetMachine, TargetSpec
 from repro.utils.bits import round_f32, s32, u32
@@ -79,161 +84,6 @@ _LOAD_SHAPES = {
     "lhx": (2, True), "lhux": (2, False), "lwx": (4, False),
 }
 _STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4, "sbx": 1, "shx": 2, "swx": 4}
-
-
-def _sem_alu(mi):
-    """Semantic action for specializable straight-line ops (no charge)."""
-    op = mi.op
-    rd, rs, rt = mi.rd, mi.rs, mi.rt
-    immu = u32(mi.imm)
-    imm = mi.imm
-    if op == "add":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] + regs[rt]) & _M
-    elif op == "addi":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] + immu) & _M
-    elif op == "sub":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] - regs[rt]) & _M
-    elif op == "mul":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] * regs[rt]) & _M
-    elif op == "and":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] & regs[rt]
-    elif op == "andi":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] & immu
-    elif op == "or":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] | regs[rt]
-    elif op == "ori":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] | immu
-    elif op == "xor":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] ^ regs[rt]
-    elif op == "xori":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] ^ immu
-    elif op == "nor":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (~(regs[rs] | regs[rt])) & _M
-    elif op == "sll":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] << (regs[rt] & 31)) & _M
-    elif op == "slli":
-        sh = imm & 31
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = (regs[rs] << sh) & _M
-    elif op == "srl":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] >> (regs[rt] & 31)
-    elif op == "srli":
-        sh = imm & 31
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs] >> sh
-    elif op == "sra":
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = (a >> (regs[rt] & 31)) & _M
-    elif op == "srai":
-        sh = imm & 31
-
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = (a >> sh) & _M
-    elif op == "li":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = immu
-    elif op == "lui":
-        # The legacy executor does not re-mask the shifted value; keep
-        # the precomputed constant bit-identical to `u32(imm) << 16`.
-        value = immu << 16
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = value
-    elif op == "mov":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = regs[rs]
-    elif op == "slt":
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            b = regs[rt]
-            if a & _SIGN:
-                a -= _WRAP
-            if b & _SIGN:
-                b -= _WRAP
-            regs[rd] = 1 if a < b else 0
-    elif op == "sltu":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] < regs[rt] else 0
-    elif op == "slti":
-        b = immu - _WRAP if immu & _SIGN else immu
-
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            if a & _SIGN:
-                a -= _WRAP
-            regs[rd] = 1 if a < b else 0
-    elif op == "sltiu":
-        def fn(m, regs, fregs, memory):
-            regs[rd] = 1 if regs[rs] < immu else 0
-    elif op in ("sext8", "sext16", "zext8", "zext16"):
-        extend = semantics.extend
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = extend(op, regs[rs])
-    elif op in ("cmp", "subcc"):
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            b = regs[rt]
-            m.cc_unsigned = (a > b) - (a < b)
-            if a & _SIGN:
-                a -= _WRAP
-            if b & _SIGN:
-                b -= _WRAP
-            m.cc = (a > b) - (a < b)
-    elif op == "cmpi":
-        # Legacy: signed half compares s32(a) with s32(imm); unsigned
-        # half compares raw a with u32(imm).
-        bs = immu - _WRAP if immu & _SIGN else immu
-
-        def fn(m, regs, fregs, memory):
-            a = regs[rs]
-            m.cc_unsigned = (a > immu) - (a < immu)
-            if a & _SIGN:
-                a -= _WRAP
-            m.cc = (a > bs) - (a < bs)
-    elif op == "setcc":
-        test = _CC_TESTS[mi.pred]
-
-        def fn(m, regs, fregs, memory):
-            regs[rd] = 1 if test(m) else 0
-    elif op in ("fcmp", "fcmps"):
-        fs, ft = mi.fs, mi.ft
-
-        def fn(m, regs, fregs, memory):
-            a = fregs[fs]
-            b = fregs[ft]
-            m.cc = (a > b) - (a < b)
-            m.cc_unsigned = m.cc
-    elif op == "sethnd":
-        def fn(m, regs, fregs, memory):
-            m.handler_omni = regs[rs]
-    elif op == "nop":
-        def fn(m, regs, fregs, memory):
-            pass
-    else:
-        return None
-    return fn
 
 
 def _sem_mem(mi, idx):
@@ -369,47 +219,6 @@ def _sem_mem(mi, idx):
     return fn
 
 
-def _sem_fp(mi):
-    op = mi.op
-    fd, fs, ft = mi.fd, mi.fs, mi.ft
-    rd = mi.rd
-    if op in ("fadds", "fsubs", "fmuls", "fdivs",
-              "faddd", "fsubd", "fmuld", "fdivd"):
-        base = op[:-1]
-        single = op.endswith("s")
-        fp_binop = semantics.fp_binop
-        if single:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = round_f32(fp_binop(base, fregs[fs], fregs[ft]))
-        else:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = fp_binop(base, fregs[fs], fregs[ft])
-    elif op in ("fnegs", "fnegd", "fabss", "fabsd", "fmovs", "fmovd"):
-        base = op[:-1]
-        single = op.endswith("s")
-        fp_unop = semantics.fp_unop
-        if single:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = round_f32(fp_unop(base, fregs[fs]))
-        else:
-            def fn(m, regs, fregs, memory):
-                fregs[fd] = fp_unop(base, fregs[fs])
-    elif op in ("fceqs", "fclts", "fcles", "fceqd", "fcltd", "fcled"):
-        pred = op[:-1]
-        if pred == "fceq":
-            def fn(m, regs, fregs, memory):
-                regs[rd] = 1 if fregs[fs] == fregs[ft] else 0
-        elif pred == "fclt":
-            def fn(m, regs, fregs, memory):
-                regs[rd] = 1 if fregs[fs] < fregs[ft] else 0
-        else:
-            def fn(m, regs, fregs, memory):
-                regs[rd] = 1 if fregs[fs] <= fregs[ft] else 0
-    else:
-        return None
-    return fn
-
-
 def _sem_generic(mi, idx):
     """Fallback: route through the legacy executor (rare/cold ops)."""
     def fn(m, regs, fregs, memory):
@@ -425,28 +234,37 @@ def _sem_generic(mi, idx):
 
 
 def _compile_native_body(mi, idx):
-    """One straight-line native instruction: charge (in order) + effect."""
-    sem = _sem_alu(mi)
-    if sem is None:
-        sem = _sem_mem(mi, idx)
-    if sem is None:
-        sem = _sem_fp(mi)
-    if sem is None:
-        if mi.op in ("div", "divu", "rem", "remu"):
-            rd, rs, rt = mi.rd, mi.rs, mi.rt
-            op = mi.op
-            int_divide = semantics.int_divide
+    """One straight-line native instruction: charge (in order) + effect.
+    Register ops come from the :mod:`repro.jitcore` op table, with the
+    charge compiled into the same closure."""
+    charge = mi.category != "fused"  # cc-profile peephole output is free
+    row = native_row(mi)
+    if row is not None:
+        return threaded_closure(row, mi, native=True, charge=charge)
+    op = mi.op
+    if op in ("div", "divu", "rem", "remu"):
+        rd, rs, rt = mi.rd, mi.rs, mi.rt
+        int_divide = semantics.int_divide
 
+        def sem(m, regs, fregs, memory):
+            try:
+                regs[rd] = int_divide(op, regs[rs], regs[rt])
+            except VMRuntimeError as err:
+                err.fault_native = idx
+                raise
+    elif op in ("fdivs", "fdivd"):
+        # FP traps are unattributed: no fault index.
+        fd, fs, ft = mi.fd, mi.fs, mi.ft
+        fp_binop = semantics.fp_binop
+        if op == "fdivs":
             def sem(m, regs, fregs, memory):
-                try:
-                    regs[rd] = int_divide(op, regs[rs], regs[rt])
-                except VMRuntimeError as err:
-                    err.fault_native = idx
-                    raise
+                fregs[fd] = round_f32(fp_binop("fdiv", fregs[fs], fregs[ft]))
         else:
-            sem = _sem_generic(mi, idx)
-    if mi.category == "fused":
-        # cc-profile peephole output: executes at zero issue cost.
+            def sem(m, regs, fregs, memory):
+                fregs[fd] = fp_binop("fdiv", fregs[fs], fregs[ft])
+    else:
+        sem = _sem_mem(mi, idx) or _sem_generic(mi, idx)
+    if not charge:
         return sem
 
     def fn(m, regs, fregs, memory):

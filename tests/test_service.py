@@ -364,6 +364,25 @@ class TestServiceMetrics:
                 host.run(ModuleRequest(program=program))
         assert collector.counters["service.request"] == 1
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_request_counted_once_per_stage(self, program, workers):
+        # Regression: workers shared one process-wide collector stack,
+        # so with one worker ``module.run`` recorded no ``execute``
+        # stage and with four, overlapping workers counted each other's
+        # events twice.
+        engine = Engine(target="mips")
+        n = 24
+        with engine.serve(workers=workers) as host:
+            responses = host.run_batch([ModuleRequest(program=program)
+                                        for _ in range(n)])
+        assert all(response.ok for response in responses)
+        stats = engine.stats()
+        counters = stats["counters"]
+        assert counters["service.request"] == n
+        assert stats["stage_calls"]["execute"] == n
+        assert counters.get("cache.hit", 0) + counters.get(
+            "cache.miss", 0) == n
+
     def test_stats_counting_is_thread_safe(self):
         stats = ServiceStats()
 

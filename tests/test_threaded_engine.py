@@ -405,6 +405,39 @@ class TestEnginePlumbing:
                                execution_engine="legacy")
         assert type(legacy_engine.load(program).machine) is TargetMachine
 
+    def test_concurrent_predecodes_compile_each_row_once(self, monkeypatch):
+        """Register-op closures come from a process-wide factory cache
+        (``repro.jitcore``); threads predecoding at once must share one
+        compiled factory per row, so their closures share code objects."""
+        import sys
+
+        from repro import jitcore
+        from repro.omnivm.threaded import ThreadedProgram
+        from repro.workloads.suite import build as build_workload
+
+        program = build_workload("compress")
+        monkeypatch.setattr(jitcore, "_COMPILED", {})
+        predecoded = []
+        threads = [threading.Thread(
+            target=lambda: predecoded.append(ThreadedProgram(program)))
+            for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(predecoded) == len(threads)
+        first = predecoded[0].steps
+        for other in predecoded[1:]:
+            for (_, fn), (_, other_fn) in zip(first, other.steps):
+                if fn is not None:
+                    assert fn.__code__ is other_fn.__code__
+
     def test_predecode_cache_round_trip(self):
         engine = Engine(target="mips")
         program = straightline_exit()
